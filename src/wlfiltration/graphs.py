@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -46,8 +48,8 @@ class LabeledGraph:
                 raise ValueError(f"edges not strictly sorted at ({u}, {v})")
             prev = (u, v)
         for w in self.weights:
-            if w < 0:
-                raise ValueError(f"negative edge weight {w}")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"edge weight {w} is negative or not finite")
 
     @classmethod
     def build(
@@ -154,11 +156,16 @@ def _parse_int(token: str, path: str, lineno: int) -> int:
 
 def _parse_float(token: str, path: str, lineno: int) -> float:
     try:
-        return float(token.strip())
+        value = float(token.strip())
     except ValueError:
         raise DatasetFormatError(
             f"{os.path.basename(path)}:{lineno}: non-numeric token {token.strip()!r}"
         ) from None
+    if not math.isfinite(value):
+        raise DatasetFormatError(
+            f"{os.path.basename(path)}:{lineno}: non-finite value {token.strip()!r}"
+        )
+    return value
 
 
 def load_tud_dataset(directory: str, name: str) -> GraphDataset:
@@ -295,7 +302,8 @@ def load_tud_dataset(directory: str, name: str) -> GraphDataset:
 def write_tud_dataset(dataset: GraphDataset, directory: str, name: str) -> None:
     """Write a dataset in TUDataset text format (both directed copies per edge).
 
-    Edge attributes are emitted only when some edge carries a nonzero weight.
+    Edge attributes are emitted only when some edge carries a nonzero weight;
+    otherwise an existing `<name>_edge_attributes.txt` is removed.
     """
     os.makedirs(directory, exist_ok=True)
     offsets = []
@@ -330,3 +338,7 @@ def write_tud_dataset(dataset: GraphDataset, directory: str, name: str) -> None:
     _dump("node_labels", node_label_lines)
     if has_weights:
         _dump("edge_attributes", attr_lines)
+    else:
+        # a stale file from an earlier weighted dataset would be read back
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, f"{name}_edge_attributes.txt"))

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -136,6 +135,78 @@ def histogram_kernel_pair(t1: FeatureTable, t2: FeatureTable) -> float:
     return total
 
 
+# Row chunk of the pairwise distances: the rows x r x (k-1) temporary stays
+# near this many doubles however many graphs share a feature.
+_CHUNK_DOUBLES = 16384
+
+
+def _w1_matrix(counts: np.ndarray, mass: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Pairwise W1 between the normalized count rows, as an r x r matrix.
+
+    On a line W1 is the L1 distance between the CDFs, each level weighted by
+    its gap to the next threshold, so every row is scaled once and the
+    distances are plain L1 distances between rows.
+    """
+    cdf = np.cumsum(counts[:, :-1], axis=1) / mass[:, None] * gaps
+    r = len(cdf)
+    out = np.empty((r, r))
+    step = max(1, _CHUNK_DOUBLES // max(1, cdf.size))
+    for lo in range(0, r, step):
+        out[lo:lo + step] = np.abs(cdf[lo:lo + step, None, :] - cdf[None, :, :]).sum(axis=2)
+    return out
+
+
+def assemble_gram(
+    tables: Sequence[FeatureTable], line: GroundLine, config: KernelConfig
+) -> np.ndarray:
+    """Unnormalized kernel matrix over feature tables, one block per shared feature.
+
+    Equals `filtration_kernel_pair` (linear) or `product_kernel_pair`
+    (product) on every pair, up to rounding. Features are visited in
+    ascending id. A feature held by one graph only adds its squared mass to
+    that graph's diagonal; one held by r >= 2 graphs adds an r x r block. The
+    product variant sums W1 in float and the mass products exactly in int64,
+    then takes exp(-gamma * sum W1 - beta * (|m_i|^2 + |m_j|^2 - 2 <m_i, m_j>)).
+    """
+    for t in tables:
+        _check_tables(t, t, line)
+    held: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for g, t in enumerate(tables):
+        for fid, hist in t.features.items():
+            held.setdefault(fid, []).append((g, hist.counts))
+
+    n = len(tables)
+    product = config.variant == "product"
+    gaps = np.asarray(line.gaps, dtype=np.float64)
+    # linear: the kernel; product: the shared mass <m_i, m_j>, exact
+    acc = np.zeros((n, n), dtype=np.int64 if product else np.float64)
+    w1_sum = np.zeros((n, n)) if product else None
+    alone_graph: list[int] = []
+    alone_mass: list[int] = []
+    for fid in sorted(held):
+        rows = held[fid]
+        if len(rows) == 1:
+            alone_graph.append(rows[0][0])
+            alone_mass.append(sum(rows[0][1]))
+            continue
+        idx = np.array([g for g, _ in rows], dtype=np.intp)
+        counts = np.array([c for _, c in rows], dtype=np.int64)
+        mass = counts.sum(axis=1)
+        w1 = _w1_matrix(counts, mass, gaps)
+        block = np.ix_(idx, idx)
+        if product:
+            w1_sum[block] += w1
+            acc[block] += np.outer(mass, mass)
+        else:
+            acc[block] += np.outer(mass, mass) * np.exp(-config.gamma * w1)
+    alone = np.array(alone_graph, dtype=np.intp)
+    np.add.at(acc, (alone, alone), np.square(np.array(alone_mass, dtype=np.int64)))
+    if not product:
+        return acc
+    sq = np.diag(acc)
+    return np.exp(-config.gamma * w1_sum - config.beta * (sq[:, None] + sq[None, :] - 2 * acc))
+
+
 def squared_kernel_distance(values: np.ndarray, i: int, j: int) -> float:
     """Squared feature-space distance K(i,i) + K(j,j) - 2 K(i,j)."""
     return float(values[i, i] + values[j, j] - 2.0 * values[i, j])
@@ -152,7 +223,8 @@ def gram_matrix(
 
     `k` is the filtration length, or the string 'auto' for one threshold per
     distinct pooled edge weight. Cosine normalization rescales to unit
-    diagonal when requested.
+    diagonal when requested. `threads` is the number of WL extraction
+    threads; the matrix does not depend on it.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -182,42 +254,19 @@ def gram_matrix_for_filtration(
     interner = LabelInterner()
     tables = extract_all(weighted, filtration, config.h, interner, threads=threads)
     line = GroundLine(tuple(float(t) for t in filtration.thresholds))
-
-    if config.variant == "product":
-        pair: Callable[[FeatureTable, FeatureTable], float] = lambda a, b: product_kernel_pair(
-            a, b, line, config.gamma, config.beta
-        )
-    else:
-        pair = lambda a, b: filtration_kernel_pair(a, b, line, config.gamma)
-
-    n = len(tables)
-    values = np.zeros((n, n), dtype=np.float64)
-
-    def fill_row(i: int) -> None:
-        for j in range(i, n):
-            values[i, j] = pair(tables[i], tables[j])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(n)))
-    else:
-        for i in range(n):
-            fill_row(i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[j, i] = values[i, j]
+    values = assemble_gram(tables, line, config)
 
     if config.normalize:
         diag = np.diag(values).copy()
         if np.any(diag <= 0):
             raise ValueError("cannot cosine-normalize: zero self-kernel value")
         scale = 1.0 / np.sqrt(diag)
-        values = values * scale[:, None] * scale[None, :]
+        values = values * np.outer(scale, scale)
         np.fill_diagonal(values, 1.0)
 
     return GramMatrix(
         values=values,
-        graph_ids=tuple(range(n)),
+        graph_ids=tuple(range(len(tables))),
         class_labels=dataset.class_labels,
     )
 

@@ -159,7 +159,7 @@ def _merge_worker_result(
         else:
             prev, neigh = record
             mapping[lid] = global_interner.refined_id(
-                mapping[prev], tuple(mapping[u] for u in neigh)
+                mapping[prev], tuple(sorted(mapping[u] for u in neigh))
             )
     return FeatureTable(
         {mapping[lid]: hist for lid, hist in table.features.items()},

@@ -1,5 +1,6 @@
 """Graph construction, permutation, and TUDataset ingestion."""
 
+import math
 import os
 import random
 
@@ -41,6 +42,12 @@ def test_build_validates_shapes():
         LabeledGraph(2, ((0, 1),), (0, 0), (-1.0,))  # negative weight
     with pytest.raises(ValueError):
         LabeledGraph(2, ((0, 2),), (0, 0), (0.0,))  # endpoint out of range
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_build_rejects_non_finite_weight(weight):
+    with pytest.raises(ValueError, match="not finite"):
+        LabeledGraph(2, ((0, 1),), (0, 0), (weight,))
 
 
 def test_adjacency_sorted_and_degree_sum():
@@ -167,6 +174,14 @@ def test_load_node_labels_and_edge_attributes(tmp_path):
     assert g.weights == (1.5, 2.5)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_edge_attribute(tmp_path, token):
+    name = _write_path_dataset(str(tmp_path))
+    _write(str(tmp_path), name, "edge_attributes", ["1.5", "1.5", token, token])
+    with pytest.raises(DatasetFormatError, match="P3_edge_attributes.txt:3: non-finite"):
+        load_tud_dataset(str(tmp_path), name)
+
+
 def test_load_warns_on_extra_attribute_columns(tmp_path):
     name = _write_path_dataset(str(tmp_path))
     _write(str(tmp_path), name, "edge_attributes",
@@ -201,6 +216,21 @@ def test_write_load_round_trip(tmp_path):
         assert b.edges == g.edges
         assert b.labels == g.labels
         assert b.weights == tuple(float(w) for w in g.weights)
+
+
+def test_unweighted_write_removes_stale_edge_attributes(tmp_path):
+    weighted = random_dataset(8, 5, max_n=9)
+    weighted = type(weighted)(
+        tuple(g.with_weights([1.5] * g.edge_count) for g in weighted.graphs),
+        weighted.class_labels,
+    )
+    write_tud_dataset(weighted, str(tmp_path), "RT")
+    unweighted = random_dataset(9, 7, max_n=9)
+    write_tud_dataset(unweighted, str(tmp_path), "RT")
+    assert not (tmp_path / "RT_edge_attributes.txt").exists()
+    back = load_tud_dataset(str(tmp_path), "RT")
+    assert back.graphs == unweighted.graphs
+    assert back.class_labels == unweighted.class_labels
 
 
 def _ptc_dir():

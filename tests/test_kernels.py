@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlfiltration import (
     Filtration,
@@ -17,14 +19,17 @@ from wlfiltration import (
     LabelInterner,
     LabeledGraph,
     WeightFunctionSpec,
+    build_filtration,
     extract_all,
     filtration_kernel_pair,
     gram_matrix,
     histogram_kernel_pair,
     permute_graph,
     product_kernel_pair,
+    reweight,
     squared_kernel_distance,
 )
+from wlfiltration import kernels
 
 from conftest import k33_graph, prism_graph, random_dataset, random_graph
 
@@ -207,3 +212,81 @@ def test_gram_auto_thresholds():
     K = gram_matrix(ds, WeightFunctionSpec("degree"), "auto", cfg).values
     assert K.shape == (6, 6)
     assert np.linalg.eigvalsh(K).min() >= -1e-8 * np.trace(K)
+
+
+def test_gram_threads_match_on_reversed_cube():
+    # The cube and its vertex-reversed copy: a worker's local neighbour ids
+    # sort differently from the global ones, so the depth-2 labels must be
+    # re-sorted when a worker's interner is merged.
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7),
+             (0, 4), (1, 5), (2, 6), (3, 7)]
+    cube = LabeledGraph.build(8, edges, [1, 1, 2, 0, 2, 0, 1, 0])
+    ds = GraphDataset((cube, permute_graph(cube, list(range(7, -1, -1)))), (0, 1))
+    spec, cfg = WeightFunctionSpec("degree"), KernelConfig(h=2)
+    K1 = gram_matrix(ds, spec, 1, cfg, threads=1).values
+    K2 = gram_matrix(ds, spec, 1, cfg, threads=2).values
+    assert np.array_equal(K1, K2)
+
+
+def oracle_gram(tables, line, config):
+    """Every entry from the per-pair kernels, normalized as `gram_matrix` does."""
+    if config.variant == "product":
+        pair = lambda a, b: product_kernel_pair(a, b, line, config.gamma, config.beta)
+    else:
+        pair = lambda a, b: filtration_kernel_pair(a, b, line, config.gamma)
+    K = np.array([[pair(a, b) for b in tables] for a in tables])
+    if config.normalize:
+        d = np.sqrt(np.diag(K))
+        K = K / np.outer(d, d)
+    return K
+
+
+WEIGHT_GRID = (0.5, 1.0, 1.5, 2.5, 3.0, 4.0)
+
+
+def weighted_dataset(seed, count=7):
+    """Random graphs with native weights on a 6-value grid, plus a path that
+    carries every grid value and a vertex label no other graph has, so every
+    depth has a singleton feature."""
+    rng = random.Random(seed)
+    graphs = [random_graph(rng, max_n=9) for _ in range(count)]
+    graphs = [g.with_weights([rng.choice(WEIGHT_GRID) for _ in g.edges]) for g in graphs]
+    path = [(v, v + 1) for v in range(len(WEIGHT_GRID))]
+    graphs.append(LabeledGraph.build(len(path) + 1, path, [7] + [0] * len(path), WEIGHT_GRID))
+    return GraphDataset(tuple(graphs), tuple(range(len(graphs))))
+
+
+@pytest.mark.parametrize("variant", ["linear_combination", "product"])
+@pytest.mark.parametrize("k", [1, 2, 6])
+@pytest.mark.parametrize("h", [0, 2])
+@pytest.mark.parametrize("normalize", [False, True])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_gram_matches_pair_oracles(variant, k, h, normalize, seed):
+    ds = weighted_dataset(seed)
+    spec = WeightFunctionSpec("native")
+    cfg = KernelConfig(h=h, gamma=0.8, beta=0.05, variant=variant, normalize=normalize)
+    filt = build_filtration(ds, spec, k)
+    assert len(filt) == k
+    tables = extract_all([reweight(g, spec) for g in ds.graphs], filt, h, LabelInterner())
+    held = [fid for t in tables for fid in t.features]
+    assert any(held.count(fid) == 1 for fid in held)
+
+    K = gram_matrix(ds, spec, k, cfg).values
+    expected = oracle_gram(tables, GroundLine(filt.thresholds), cfg)
+    np.testing.assert_allclose(K, expected, rtol=1e-12, atol=0)
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(K, gram_matrix(ds, spec, k, cfg, threads=2).values)
+
+
+@pytest.mark.parametrize("variant", ["linear_combination", "product"])
+def test_assemble_row_chunks_do_not_change_values(monkeypatch, variant):
+    ds = weighted_dataset(3, count=20)
+    spec = WeightFunctionSpec("native")
+    filt = build_filtration(ds, spec, 6)
+    tables = extract_all([reweight(g, spec) for g in ds.graphs], filt, 1, LabelInterner())
+    line = GroundLine(filt.thresholds)
+    cfg = KernelConfig(h=1, beta=0.05, variant=variant)
+    whole = kernels.assemble_gram(tables, line, cfg)
+    monkeypatch.setattr(kernels, "_CHUNK_DOUBLES", 1)
+    assert np.array_equal(kernels.assemble_gram(tables, line, cfg), whole)
