@@ -16,7 +16,12 @@ from .gram_io import (
     write_gram,
 )
 from .graphs import load_tud_dataset, write_tud_dataset
-from .kernels import KernelConfig, build_filtration, gram_matrix_for_filtration
+from .kernels import (
+    KernelConfig,
+    build_filtration,
+    filtration_for_weights,
+    gram_matrix_for_filtration,
+)
 from .wl import LabelInterner, extract_all
 
 _VARIANT_FLAG = {"linear": "linear_combination", "product": "product"}
@@ -170,11 +175,11 @@ def run_csl(args: argparse.Namespace) -> None:
 def run_inspect(args: argparse.Namespace) -> None:
     dataset = load_tud_dataset(args.dataset, args.name)
     spec = WeightFunctionSpec(kind=args.weights, walk_length=args.walk_length)
-    filtration = build_filtration(dataset, spec, args.k if args.k == "auto" else int(args.k))
+    weighted = [reweight(g, spec) for g in dataset.graphs]
+    filtration = filtration_for_weights([w for g in weighted for w in g.weights], args.k)
     print(f"graphs: {len(dataset)}")
     print(f"thresholds (k={len(filtration)}): " + " ".join(str(t) for t in filtration.thresholds))
 
-    weighted = [reweight(g, spec) for g in dataset.graphs]
     for level, alpha in enumerate(filtration.thresholds, start=1):
         edges = sum(filtration_graph(g, alpha).edge_count for g in weighted)
         print(f"level {level}: alpha={alpha} edges={edges}")

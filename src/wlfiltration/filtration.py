@@ -6,6 +6,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .graphs import LabeledGraph
 
 WEIGHT_KINDS = ("native", "degree", "walks", "triangles")
@@ -113,14 +115,6 @@ def reweight(g: LabeledGraph, spec: WeightFunctionSpec) -> LabeledGraph:
     return g.with_weights(compute_weights(g, spec))
 
 
-def _interval_sse(prefix: list[float], prefix_sq: list[float], i: int, j: int) -> float:
-    """Within-cluster sum of squared deviations for values[i..j] (inclusive)."""
-    s = prefix[j + 1] - prefix[i]
-    sq = prefix_sq[j + 1] - prefix_sq[i]
-    cnt = j - i + 1
-    return sq - s * s / cnt
-
-
 def fit_thresholds(dataset_weights: Iterable[float], k: int) -> Filtration:
     """Thresholds from exact 1-D k-means over the distinct weight values.
 
@@ -129,6 +123,10 @@ def fit_thresholds(dataset_weights: Iterable[float], k: int) -> Filtration:
     programming; ties prefer smaller leading clusters. Threshold i is the
     minimum element of the i-th cluster, ordered decreasingly. When fewer
     than k distinct values exist, the filtration shrinks to that count.
+
+    For d distinct values this takes O(k*d) numpy passes of length <= d:
+    for each cluster start, the costs of every cluster end are one array
+    expression, in the same float64 arithmetic as a scalar loop would use.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -143,42 +141,39 @@ def fit_thresholds(dataset_weights: Iterable[float], k: int) -> Filtration:
         )
         k = d
 
-    prefix = [0.0] * (d + 1)
-    prefix_sq = [0.0] * (d + 1)
-    for i, x in enumerate(values):
-        prefix[i + 1] = prefix[i] + x
-        prefix_sq[i + 1] = prefix_sq[i] + x * x
+    # Sequential sums from 0.0, so they round like a running Python total.
+    x = np.array(values, dtype=np.float64)
+    prefix = np.cumsum(np.concatenate(([0.0], x)))
+    prefix_sq = np.cumsum(np.concatenate(([0.0], x * x)))
+    sizes = np.arange(1, d + 1, dtype=np.float64)
 
-    # suffix[t][i] = minimal SSE partitioning values[i..d-1] into t clusters
-    inf = float("inf")
-    suffix = [[inf] * (d + 1) for _ in range(k + 1)]
-    suffix[0][d] = 0.0
-    for t in range(1, k + 1):
-        for i in range(d - 1, -1, -1):
-            best = inf
-            # cluster values[i..j], then t-1 clusters on the rest
-            for j in range(i, d - t + 1):
-                rest = suffix[t - 1][j + 1]
-                if rest == inf:
-                    continue
-                cost = _interval_sse(prefix, prefix_sq, i, j) + rest
-                if cost < best:
-                    best = cost
-            suffix[t][i] = best
+    def sse_from(i: int) -> np.ndarray:
+        """Within-cluster SSE of values[i..j] for every end j = i..d-1."""
+        s = prefix[i + 1:] - prefix[i]
+        sq = prefix_sq[i + 1:] - prefix_sq[i]
+        return sq - s * s / sizes[:d - i]
+
+    # suffix[t, i] = minimal SSE partitioning values[i..d-1] into t clusters.
+    # The clusters before start i number k - t >= 1 unless t == k and i == 0,
+    # so only those entries are filled; the others are never read.
+    suffix = np.full((k + 1, d + 1), np.inf)
+    suffix[0, d] = 0.0
+    for i in range(d - 1, -1, -1):
+        sse = sse_from(i)
+        layers = range(max(1, k - i), min(k - 1, d - i) + 1) if i else (k,)
+        for t in layers:
+            # cluster values[i..j], then t-1 clusters on the rest, j = i..d-t
+            suffix[t, i] = (sse[:d - t + 1 - i] + suffix[t - 1, i + 1:d - t + 2]).min()
 
     # Walk forward taking the shortest cluster achieving the optimum, which
     # makes cluster sizes lexicographically minimal.
-    bounds = []
+    minima = []
     i = 0
     for t in range(k, 0, -1):
-        target = suffix[t][i]
-        for j in range(i, d - t + 1):
-            if _interval_sse(prefix, prefix_sq, i, j) + suffix[t - 1][j + 1] <= target:
-                bounds.append((i, j))
-                i = j + 1
-                break
-    minima = [values[lo] for lo, _ in bounds]
-    return Filtration(tuple(sorted(minima, reverse=True)))
+        cost = sse_from(i)[:d - t + 1 - i] + suffix[t - 1, i + 1:d - t + 2]
+        minima.append(values[i])
+        i += int(np.flatnonzero(cost <= suffix[t, i])[0]) + 1
+    return Filtration(tuple(reversed(minima)))
 
 
 def fit_thresholds_auto(dataset_weights: Iterable[float]) -> Filtration:

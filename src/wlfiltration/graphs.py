@@ -154,7 +154,8 @@ def _parse_int(token: str, path: str, lineno: int) -> int:
         ) from None
 
 
-def _parse_float(token: str, path: str, lineno: int) -> float:
+def _parse_weight(token: str, path: str, lineno: int) -> float:
+    """An edge weight: a finite, nonnegative float."""
     try:
         value = float(token.strip())
     except ValueError:
@@ -164,6 +165,10 @@ def _parse_float(token: str, path: str, lineno: int) -> float:
     if not math.isfinite(value):
         raise DatasetFormatError(
             f"{os.path.basename(path)}:{lineno}: non-finite value {token.strip()!r}"
+        )
+    if value < 0:
+        raise DatasetFormatError(
+            f"{os.path.basename(path)}:{lineno}: negative edge weight {token.strip()!r}"
         )
     return value
 
@@ -245,7 +250,7 @@ def load_tud_dataset(directory: str, name: str) -> GraphDataset:
                     stacklevel=2,
                 )
                 warned = True
-            attr_of_line.append(_parse_float(cols[0], ea_path, lineno))
+            attr_of_line.append(_parse_weight(cols[0], ea_path, lineno))
 
     # Merge the directed pairs: first-seen direction supplies the weight.
     per_graph_edges: list[dict[tuple[int, int], float]] = [{} for _ in range(num_graphs)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -226,14 +227,7 @@ def gram_matrix(
     diagonal when requested. `threads` is the number of WL extraction
     threads; the matrix does not depend on it.
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    if any(g.n == 0 for g in dataset.graphs):
-        raise ValueError("dataset contains a graph with zero vertices")
-
-    weighted = [reweight(g, spec) for g in dataset.graphs]
-    pooled = [w for g in weighted for w in g.weights]
-    filtration = fit_thresholds_auto(pooled) if k == "auto" else fit_thresholds(pooled, int(k))
+    filtration = build_filtration(dataset, spec, k)
     return gram_matrix_for_filtration(dataset, spec, filtration, config, threads=threads)
 
 
@@ -271,9 +265,24 @@ def gram_matrix_for_filtration(
     )
 
 
+def filtration_for_weights(pooled: Sequence[float], k: int | str) -> Filtration:
+    """Shared thresholds fitted to a pooled edge-weight multiset.
+
+    `k` is the filtration length or 'auto'. A dataset without edges gets the
+    single level (0.0,), under which the kernel is the WL label histogram
+    kernel.
+    """
+    if not pooled:
+        if k != "auto" and int(k) > 1:
+            warnings.warn(
+                f"no edge weights; filtration length reduced from {k} to 1", stacklevel=2
+            )
+        return Filtration((0.0,))
+    return fit_thresholds_auto(pooled) if k == "auto" else fit_thresholds(pooled, int(k))
+
+
 def build_filtration(
     dataset: GraphDataset, spec: WeightFunctionSpec, k: int | str
 ) -> Filtration:
     """The shared threshold sequence a `gram_matrix` call would use."""
-    pooled = pooled_weights(dataset.graphs, spec)
-    return fit_thresholds_auto(pooled) if k == "auto" else fit_thresholds(pooled, int(k))
+    return filtration_for_weights(pooled_weights(dataset.graphs, spec), k)

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlfiltration import (
     Filtration,
@@ -159,6 +161,85 @@ def test_fit_thresholds_matches_bruteforce():
         assert _partition_cost(values, got) == best_cost, (sorted(values), k)
         if len(optima) == 1:
             assert got == optima[0], (sorted(values), k)
+
+
+def _interval_sse(prefix, prefix_sq, i, j):
+    """Within-cluster sum of squared deviations for values[i..j] (inclusive)."""
+    s = prefix[j + 1] - prefix[i]
+    sq = prefix_sq[j + 1] - prefix_sq[i]
+    cnt = j - i + 1
+    return sq - s * s / cnt
+
+
+def _fit_thresholds_reference(dataset_weights, k):
+    """The scalar O(k*d^2) suffix DP that `fit_thresholds` vectorises."""
+    values = sorted(set(dataset_weights))
+    d = len(values)
+    k = min(k, d)
+    prefix = [0.0] * (d + 1)
+    prefix_sq = [0.0] * (d + 1)
+    for i, x in enumerate(values):
+        prefix[i + 1] = prefix[i] + x
+        prefix_sq[i + 1] = prefix_sq[i] + x * x
+
+    inf = float("inf")
+    suffix = [[inf] * (d + 1) for _ in range(k + 1)]
+    suffix[0][d] = 0.0
+    for t in range(1, k + 1):
+        for i in range(d - 1, -1, -1):
+            best = inf
+            for j in range(i, d - t + 1):
+                rest = suffix[t - 1][j + 1]
+                if rest == inf:
+                    continue
+                cost = _interval_sse(prefix, prefix_sq, i, j) + rest
+                if cost < best:
+                    best = cost
+            suffix[t][i] = best
+
+    bounds = []
+    i = 0
+    for t in range(k, 0, -1):
+        target = suffix[t][i]
+        for j in range(i, d - t + 1):
+            if _interval_sse(prefix, prefix_sq, i, j) + suffix[t - 1][j + 1] <= target:
+                bounds.append((i, j))
+                i = j + 1
+                break
+    minima = [values[lo] for lo, _ in bounds]
+    return Filtration(tuple(sorted(minima, reverse=True)))
+
+
+# Integer weights stay below d * max^2 < 2^53, where both DPs sum exactly.
+_WEIGHT_LISTS = st.one_of(
+    st.lists(st.integers(0, 12), min_size=1, max_size=40),
+    st.lists(st.integers(0, 600).map(lambda i: 0.5 + i / 600), min_size=1, max_size=80),
+    st.lists(st.floats(0, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+    st.lists(st.integers(0, 10**7), min_size=1, max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_WEIGHT_LISTS, k=st.integers(1, 12))
+def test_fit_thresholds_matches_scalar_reference(values, k):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = fit_thresholds(values, k).thresholds
+    want = _fit_thresholds_reference(values, k).thresholds
+    assert got == want
+    assert [type(t) for t in got] == [type(t) for t in want]
+
+
+def test_fit_thresholds_scale_5000_distinct():
+    rng = random.Random(5000)
+    values = [i / 1e6 for i in rng.sample(range(10**9), 5000)]
+    thresholds = fit_thresholds(values, 10).thresholds
+    assert len(thresholds) == 10
+    assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
+    assert set(thresholds) <= set(values)
+    assert thresholds[-1] == min(values)
 
 
 def test_fit_thresholds_tie_prefers_small_leading_cluster():

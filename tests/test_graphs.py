@@ -182,6 +182,13 @@ def test_load_rejects_non_finite_edge_attribute(tmp_path, token):
         load_tud_dataset(str(tmp_path), name)
 
 
+def test_load_rejects_negative_edge_attribute(tmp_path):
+    name = _write_path_dataset(str(tmp_path))
+    _write(str(tmp_path), name, "edge_attributes", ["1.5", "1.5", "-1.5", "-1.5"])
+    with pytest.raises(DatasetFormatError, match="P3_edge_attributes.txt:3: negative"):
+        load_tud_dataset(str(tmp_path), name)
+
+
 def test_load_warns_on_extra_attribute_columns(tmp_path):
     name = _write_path_dataset(str(tmp_path))
     _write(str(tmp_path), name, "edge_attributes",

@@ -7,12 +7,15 @@ import pytest
 
 from wlfiltration import (
     GramMatrix,
+    GraphDataset,
     KernelConfig,
+    LabeledGraph,
     WeightFunctionSpec,
     gram_matrix,
     load_manifest,
     read_gram_csv,
     write_gram,
+    write_tud_dataset,
 )
 from wlfiltration.cli import main, replay
 from wlfiltration.gram_io import manifest_path_for
@@ -95,6 +98,57 @@ def test_cli_csl_then_compute_then_inspect(tmp_path, capsys):
     assert "thresholds" in inspect_out
     assert "level 1:" in inspect_out
     assert "table sizes" in inspect_out
+
+
+def test_cli_inspect_csl_output_is_unchanged(tmp_path, capsys):
+    # printed by the earlier path that reweighted once to fit and again to count
+    expected = (
+        "graphs: 10\n"
+        "thresholds (k=4): 2296 1890 1435 1335\n"
+        "level 1: alpha=2296 edges=41\n"
+        "level 2: alpha=1890 edges=164\n"
+        "level 3: alpha=1435 edges=328\n"
+        "level 4: alpha=1335 edges=820\n"
+        "features: 7 distinct labels\n"
+        "table sizes: min=5 mean=5.4 max=7\n"
+    )
+    data_dir = tmp_path / "csl"
+    assert _run_cli("csl", "--out", str(data_dir), "--name", "CSL", "--copies", "1",
+                    "--seed", "0") == 0
+    capsys.readouterr()
+    assert _run_cli("inspect", "--dataset", str(data_dir), "--name", "CSL",
+                    "--weights", "walks", "--lambda", "7", "--k", "4", "--h", "2") == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("k", ["1", "auto"])
+def test_cli_edgeless_dataset_gives_histogram_kernel(tmp_path, capsys, k):
+    labels = [(0,), (0, 0, 1), (1, 1)]
+    dataset = GraphDataset(
+        tuple(LabeledGraph.build(len(ls), [], ls) for ls in labels), (0, 1, 0)
+    )
+    write_tud_dataset(dataset, str(tmp_path), "E")
+    out = tmp_path / "e.csv"
+    assert _run_cli("compute", "--dataset", str(tmp_path), "--name", "E", "--k", k,
+                    "--h", "1", "--out", str(out)) == 0
+    assert "thresholds (k=1): 0.0" in capsys.readouterr().out
+    assert load_manifest(manifest_path_for(str(out))).thresholds == (0.0,)
+    # h=1 on edgeless graphs: each depth-1 label renames one depth-0 label
+    counts = np.array([[ls.count(0), ls.count(1)] for ls in labels], dtype=float)
+    np.testing.assert_array_equal(read_gram_csv(str(out)), 2 * counts @ counts.T)
+
+    assert _run_cli("inspect", "--dataset", str(tmp_path), "--name", "E", "--k", k,
+                    "--h", "0") == 0
+    assert "level 1: alpha=0.0 edges=0" in capsys.readouterr().out
+
+
+def test_cli_one_vertex_graph(tmp_path):
+    dataset = GraphDataset((LabeledGraph.build(1, []),), (1,))
+    write_tud_dataset(dataset, str(tmp_path), "V")
+    out = tmp_path / "v.csv"
+    assert _run_cli("compute", "--dataset", str(tmp_path), "--name", "V", "--k", "1",
+                    "--h", "2", "--out", str(out)) == 0
+    assert read_gram_csv(str(out)).tolist() == [[3.0]]
 
 
 def test_cli_rejects_k_zero(tmp_path):

@@ -187,6 +187,21 @@ def test_gram_rejects_degenerate_datasets():
         )
 
 
+def test_edgeless_dataset_gives_histogram_kernel():
+    graphs = (LabeledGraph.build(1, []), LabeledGraph.build(4, [], (0, 1, 1, 2)),
+              LabeledGraph.build(3, [], (2, 1, 2)))
+    ds = GraphDataset(graphs, (0, 1, 0))
+    spec = WeightFunctionSpec("degree")
+    tables = extract_all(graphs, Filtration((0.0,)), 2, LabelInterner())
+    want = np.array([[histogram_kernel_pair(a, b) for b in tables] for a in tables])
+    with pytest.warns(UserWarning, match="no edge weights; filtration length reduced"):
+        assert build_filtration(ds, spec, 3) == Filtration((0.0,))
+    for k in (1, "auto"):
+        assert build_filtration(ds, spec, k) == Filtration((0.0,))
+        K = gram_matrix(ds, spec, k, KernelConfig(h=2)).values
+        assert np.array_equal(K, want)
+
+
 def test_gram_threads_match_sequential():
     ds = random_dataset(16, 10, max_n=9)
     cfg = KernelConfig(h=2, gamma=1.0)
