@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import bisect
 import sys
 import time
 
 from .csl import generate_csl, generate_csl_benchmark
-from .filtration import WeightFunctionSpec, filtration_graph, reweight
+from .filtration import WeightFunctionSpec
 from .gram_io import (
     RunManifest,
     ensure_parent_dir,
@@ -21,6 +22,7 @@ from .kernels import (
     build_filtration,
     filtration_for_weights,
     gram_matrix_for_filtration,
+    reweight_dataset,
 )
 from .wl import LabelInterner, extract_all
 
@@ -109,8 +111,10 @@ def run_compute(args: argparse.Namespace) -> RunManifest:
         variant=_VARIANT_FLAG[args.variant],
         normalize=args.normalize,
     )
-    filtration = build_filtration(dataset, spec, args.k if args.k == "auto" else int(args.k))
-    matrix = gram_matrix_for_filtration(dataset, spec, filtration, config, threads=args.threads)
+    weighted = reweight_dataset(dataset, spec)
+    native = WeightFunctionSpec()
+    filtration = build_filtration(weighted, native, args.k if args.k == "auto" else int(args.k))
+    matrix = gram_matrix_for_filtration(weighted, native, filtration, config, threads=args.threads)
     ensure_parent_dir(args.out)
     write_gram(matrix, args.format, args.out)
     elapsed = time.perf_counter() - started
@@ -175,13 +179,16 @@ def run_csl(args: argparse.Namespace) -> None:
 def run_inspect(args: argparse.Namespace) -> None:
     dataset = load_tud_dataset(args.dataset, args.name)
     spec = WeightFunctionSpec(kind=args.weights, walk_length=args.walk_length)
-    weighted = [reweight(g, spec) for g in dataset.graphs]
-    filtration = filtration_for_weights([w for g in weighted for w in g.weights], args.k)
+    weighted = reweight_dataset(dataset, spec).graphs
+    pooled = sorted(w for g in weighted for w in g.weights)
+    filtration = filtration_for_weights(pooled, args.k)
     print(f"graphs: {len(dataset)}")
     print(f"thresholds (k={len(filtration)}): " + " ".join(str(t) for t in filtration.thresholds))
 
+    # Edges of weight >= alpha, counted with Python comparisons so that
+    # integer weights above 2**53 count exactly.
     for level, alpha in enumerate(filtration.thresholds, start=1):
-        edges = sum(filtration_graph(g, alpha).edge_count for g in weighted)
+        edges = len(pooled) - bisect.bisect_left(pooled, alpha)
         print(f"level {level}: alpha={alpha} edges={edges}")
 
     interner = LabelInterner()

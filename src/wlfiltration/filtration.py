@@ -58,9 +58,12 @@ def weight_degree(g: LabeledGraph) -> tuple[int, ...]:
 
 
 def weight_triangles(g: LabeledGraph) -> tuple[int, ...]:
-    """w({u,v}) = number of triangles containing the edge = |N(u) ∩ N(v)|."""
-    neighbor_sets = [set(ns) for ns in g.adjacency]
-    return tuple(len(neighbor_sets[u] & neighbor_sets[v]) for u, v in g.edges)
+    """w({u,v}) = number of triangles containing the edge = |N(u) ∩ N(v)|.
+
+    On an edge A[u,v] = 1 and (A^2)[u,v] counts the common neighbours, so
+    this is the two-step walk total minus one.
+    """
+    return tuple(w - 1 for w in _walk_totals(g, 2))
 
 
 def weight_walks(g: LabeledGraph, walk_length: int) -> tuple[int, ...]:
@@ -69,32 +72,66 @@ def weight_walks(g: LabeledGraph, walk_length: int) -> tuple[int, ...]:
     Exact integer arithmetic; any count above the 64-bit unsigned range is an
     overflow error rather than a silent wraparound.
     """
+    return tuple(_walk_totals(g, walk_length))
+
+
+# Row chunk of the walk propagation: the rows x (n + 2m) temporaries stay
+# near this many entries however large the graph.
+_WALK_CHUNK_ENTRIES = 1 << 18
+
+
+def _count_dtype(walk_length: int, maxdeg: int) -> type:
+    """int64 when walk_length * maxdeg**walk_length < 2**63, else exact ints.
+
+    Every entry of A^l is at most maxdeg**l, so the bound covers every entry
+    and partial sum of the walk totals.
+    """
+    return np.int64 if walk_length * maxdeg**walk_length < 2**63 else object
+
+
+def _walk_totals(g: LabeledGraph, walk_length: int) -> list[int]:
+    """sum_{l=1..walk_length} (A^l)[u, v] at every edge (u, v), aligned with g.edges.
+
+    Rows of A^l are propagated over the neighbour lists, a chunk of source
+    vertices at a time, so the work is O(walk_length * n * m) and no n x n
+    matrix is built. Counts are int64 when that cannot overflow and exact
+    Python ints (dtype object) otherwise; see `_count_dtype`.
+    """
     if walk_length < 1:
         raise ValueError("walk_length must be >= 1")
-    adj = g.adjacency
-    totals = {e: 0 for e in g.edges}
-    for u in range(g.n):
-        # row u of A^l, accumulated over l = 1..walk_length
-        row = [0] * g.n
-        row[u] = 1
-        acc = [0] * g.n
+    if not g.edges:
+        return []
+    ends = np.array(g.edges, dtype=np.intp)
+    u, v = ends[:, 0], ends[:, 1]
+    src = np.concatenate((u, v))
+    nbr = np.concatenate((v, u))[np.argsort(src, kind="stable")]
+    deg = np.bincount(src, minlength=g.n)
+    # reduceat mishandles empty segments, so only vertices with neighbours
+    # are summed; the others stay zero.
+    held = np.flatnonzero(deg)
+    held_starts = (np.cumsum(deg) - deg)[held]
+    dtype = _count_dtype(walk_length, int(deg.max()))
+
+    totals = np.empty(len(u), dtype=dtype)
+    step = max(1, _WALK_CHUNK_ENTRIES // (g.n + len(nbr)))
+    for lo in range(0, g.n, step):
+        hi = min(g.n, lo + step)
+        rows = np.zeros((hi - lo, g.n), dtype=dtype)
+        rows[np.arange(hi - lo), np.arange(lo, hi)] = 1
+        acc = np.zeros_like(rows)
         for _ in range(walk_length):
-            nxt = [0] * g.n
-            for j in range(g.n):
-                count = 0
-                for t in adj[j]:
-                    count += row[t]
-                nxt[j] = count
-                acc[j] += count
-                if acc[j] > _UINT64_MAX:
-                    raise OverflowError(
-                        f"walk count exceeds 64-bit unsigned range for walk_length={walk_length}"
-                    )
-            row = nxt
-        for v in adj[u]:
-            if u < v:
-                totals[(u, v)] = acc[v]
-    return tuple(totals[e] for e in g.edges)
+            nxt = np.zeros_like(rows)
+            nxt[:, held] = np.add.reduceat(rows[:, nbr], held_starts, axis=1)
+            acc += nxt
+            rows = nxt
+        if acc.max() > _UINT64_MAX:
+            raise OverflowError(
+                f"walk count exceeds 64-bit unsigned range for walk_length={walk_length}"
+            )
+        # g.edges is sorted, so the edges leaving rows lo..hi-1 are a slice
+        a, b = np.searchsorted(u, (lo, hi))
+        totals[a:b] = acc[u[a:b] - lo, v[a:b]]
+    return totals.tolist()
 
 
 def compute_weights(g: LabeledGraph, spec: WeightFunctionSpec) -> tuple[float, ...]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -227,8 +227,19 @@ def gram_matrix(
     diagonal when requested. `threads` is the number of WL extraction
     threads; the matrix does not depend on it.
     """
-    filtration = build_filtration(dataset, spec, k)
-    return gram_matrix_for_filtration(dataset, spec, filtration, config, threads=threads)
+    weighted = reweight_dataset(dataset, spec)
+    native = WeightFunctionSpec()
+    filtration = build_filtration(weighted, native, k)
+    return gram_matrix_for_filtration(weighted, native, filtration, config, threads=threads)
+
+
+def reweight_dataset(dataset: GraphDataset, spec: WeightFunctionSpec) -> GraphDataset:
+    """The dataset with every graph carrying the weights computed by `spec`.
+
+    Computing the weights once and passing the result on with the native
+    spec spares `build_filtration` and `gram_matrix_for_filtration` a pass each.
+    """
+    return replace(dataset, graphs=tuple(reweight(g, spec) for g in dataset.graphs))
 
 
 def gram_matrix_for_filtration(

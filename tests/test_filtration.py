@@ -3,8 +3,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlfiltration import (
@@ -21,6 +22,8 @@ from wlfiltration import (
     weight_triangles,
     weight_walks,
 )
+
+from wlfiltration import filtration
 
 from conftest import k33_graph, path3, prism_graph, random_graph
 
@@ -81,6 +84,98 @@ def test_weight_triangles_witness_pair():
         assert w == (1 if edge in triangle_edges else 0)
     assert weight_triangles(k33) == (0,) * 9
     assert weight_triangles(K4) == (2,) * 6
+
+
+def _weight_triangles_reference(g: LabeledGraph) -> tuple[int, ...]:
+    """Common neighbours of the endpoints, by set intersection."""
+    neighbor_sets = [set(ns) for ns in g.adjacency]
+    return tuple(len(neighbor_sets[u] & neighbor_sets[v]) for u, v in g.edges)
+
+
+def _weight_walks_reference(g: LabeledGraph, walk_length: int) -> tuple[int, ...]:
+    """Row-by-row propagation of A^l in Python ints, raising above 2**64 - 1."""
+    if walk_length < 1:
+        raise ValueError("walk_length must be >= 1")
+    adj = g.adjacency
+    totals = {e: 0 for e in g.edges}
+    for u in range(g.n):
+        # row u of A^l, accumulated over l = 1..walk_length
+        row = [0] * g.n
+        row[u] = 1
+        acc = [0] * g.n
+        for _ in range(walk_length):
+            nxt = [0] * g.n
+            for j in range(g.n):
+                count = 0
+                for t in adj[j]:
+                    count += row[t]
+                nxt[j] = count
+                acc[j] += count
+                if acc[j] > 2**64 - 1:
+                    raise OverflowError(
+                        f"walk count exceeds 64-bit unsigned range for walk_length={walk_length}"
+                    )
+            row = nxt
+        for v in adj[u]:
+            if u < v:
+                totals[(u, v)] = acc[v]
+    return tuple(totals[e] for e in g.edges)
+
+
+def _assert_same_weights(got, want):
+    assert got == want
+    assert [type(w) for w in got] == [type(w) for w in want]
+
+
+@st.composite
+def _graphs_with_isolated_vertices(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return LabeledGraph.build(n + draw(st.integers(0, 3)), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_graphs_with_isolated_vertices(), walk_length=st.integers(1, 9))
+@example(g=LabeledGraph.build(0, []), walk_length=1)
+@example(g=LabeledGraph.build(4, []), walk_length=9)
+def test_walk_and_triangle_weights_match_reference(g, walk_length):
+    _assert_same_weights(weight_walks(g, walk_length), _weight_walks_reference(g, walk_length))
+    _assert_same_weights(weight_triangles(g), _weight_triangles_reference(g))
+
+
+@pytest.mark.parametrize("entries", [1, 40])
+def test_walk_weights_do_not_depend_on_row_chunk(monkeypatch, entries):
+    rng = random.Random(17)
+    graphs = [random_graph(rng, max_n=14, p=0.3) for _ in range(20)]
+    monkeypatch.setattr(filtration, "_WALK_CHUNK_ENTRIES", entries)
+    for g in graphs:
+        _assert_same_weights(weight_walks(g, 5), _weight_walks_reference(g, 5))
+        _assert_same_weights(weight_triangles(g), _weight_triangles_reference(g))
+
+
+def _complete_graph(n: int) -> LabeledGraph:
+    return LabeledGraph.build(n, list(itertools.combinations(range(n), 2)))
+
+
+# walk_length * maxdeg**walk_length < 2**63 selects int64: for K6 (maxdeg 5)
+# up to walk_length 25, for K3 (maxdeg 2) up to 57.
+@pytest.mark.parametrize("n, walk_length, dtype", [
+    (3, 57, np.int64), (3, 63, object), (3, 64, object),
+    (6, 25, np.int64), (6, 26, object), (6, 27, object),
+])
+def test_walk_weights_near_64_bits_match_reference(n, walk_length, dtype):
+    assert filtration._count_dtype(walk_length, n - 1) is dtype
+    g = _complete_graph(n)
+    _assert_same_weights(weight_walks(g, walk_length), _weight_walks_reference(g, walk_length))
+
+
+def test_walk_weights_overflow_at_k3_lambda_65():
+    g = _complete_graph(3)
+    with pytest.raises(OverflowError, match="walk_length=65"):
+        _weight_walks_reference(g, 65)
+    with pytest.raises(OverflowError, match="walk_length=65"):
+        weight_walks(g, 65)
 
 
 def test_compute_weights_dispatch():

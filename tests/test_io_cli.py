@@ -199,6 +199,32 @@ def test_cli_threads_do_not_change_output(tmp_path, mini_tud_dir):
     assert outs[0] == outs[1]
 
 
+def test_compute_and_gram_matrix_weigh_each_graph_once(tmp_path, mini_tud_dir, monkeypatch):
+    from wlfiltration import filtration
+
+    weighed = []
+    original = filtration.compute_weights
+
+    def counting(g, spec):
+        # a native spec reads the weights a graph carries; only the others compute
+        if spec.kind != "native":
+            weighed.append(g)
+        return original(g, spec)
+
+    monkeypatch.setattr(filtration, "compute_weights", counting)
+    assert _run_cli(
+        "compute", "--dataset", mini_tud_dir, "--name", "MINI20",
+        "--weights", "walks", "--lambda", "3", "--k", "3", "--h", "1",
+        "--out", str(tmp_path / "w.csv"),
+    ) == 0
+    assert len(weighed) == 20
+
+    weighed.clear()
+    ds = random_dataset(34, 6, max_n=7)
+    gram_matrix(ds, WeightFunctionSpec("walks", walk_length=3), 2, KernelConfig(h=1))
+    assert len(weighed) == len(ds)
+
+
 def test_libsvm_field_count_small(tmp_path):
     ds = random_dataset(33, 8, max_n=7)
     matrix = gram_matrix(ds, WeightFunctionSpec("degree"), 2, KernelConfig(h=1))
