@@ -55,11 +55,9 @@ from .wl import (
     LabelInterner,
     dump_feature_table,
     extract_all,
-    extract_features,
-    wl_refine,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DatasetFormatError",
@@ -80,7 +78,6 @@ __all__ = [
     "csl_graph",
     "dump_feature_table",
     "extract_all",
-    "extract_features",
     "filtration_graph",
     "filtration_kernel_pair",
     "filtration_sequence",
@@ -106,7 +103,6 @@ __all__ = [
     "weight_degree",
     "weight_triangles",
     "weight_walks",
-    "wl_refine",
     "write_gram",
     "write_tud_dataset",
 ]

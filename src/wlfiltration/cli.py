@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--format", choices=("csv", "libsvm"), default="csv")
     p_compute.add_argument("--out", required=True, help="output file for the Gram matrix")
     p_compute.add_argument("--threads", type=int, default=1,
-                           help="WL feature-extraction threads")
+                           help="accepted and ignored; the output never depends on it")
 
     p_csl = sub.add_parser("csl", help="generate a circular-skip-link dataset in TUDataset format")
     p_csl.add_argument("--out", required=True, help="output directory")

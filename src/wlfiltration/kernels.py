@@ -224,8 +224,8 @@ def gram_matrix(
 
     `k` is the filtration length, or the string 'auto' for one threshold per
     distinct pooled edge weight. Cosine normalization rescales to unit
-    diagonal when requested. `threads` is the number of WL extraction
-    threads; the matrix does not depend on it.
+    diagonal when requested. `threads` is accepted for compatibility and
+    ignored.
     """
     weighted = reweight_dataset(dataset, spec)
     native = WeightFunctionSpec()
@@ -249,7 +249,12 @@ def gram_matrix_for_filtration(
     config: KernelConfig,
     threads: int = 1,
 ) -> GramMatrix:
-    """Kernel matrix over an explicitly supplied threshold sequence."""
+    """Kernel matrix over an explicitly supplied threshold sequence.
+
+    The thresholds are the ground line as they are, so the gaps between
+    integer thresholds are exact differences before they become floats.
+    `threads` is accepted for compatibility and ignored.
+    """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     if any(g.n == 0 for g in dataset.graphs):
@@ -257,8 +262,8 @@ def gram_matrix_for_filtration(
     weighted = [reweight(g, spec) for g in dataset.graphs]
 
     interner = LabelInterner()
-    tables = extract_all(weighted, filtration, config.h, interner, threads=threads)
-    line = GroundLine(tuple(float(t) for t in filtration.thresholds))
+    tables = extract_all(weighted, filtration, config.h, interner)
+    line = GroundLine(filtration.thresholds)
     values = assemble_gram(tables, line, config)
 
     if config.normalize:

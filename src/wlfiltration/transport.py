@@ -18,7 +18,10 @@ MASS_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class GroundLine:
-    """Threshold values as positions on the real line (decreasing order)."""
+    """Threshold values as positions on the real line (decreasing order).
+
+    Integer positions keep their gaps exact, however large the integers.
+    """
 
     positions: tuple[float, ...]
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import bisect
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .filtration import Filtration, filtration_graph
+import numpy as np
+
+from .filtration import Filtration
 from .graphs import LabeledGraph
 
 
@@ -23,8 +26,6 @@ class LabelInterner:
         self._initial: dict[int, int] = {}
         self._refined: dict[tuple[int, tuple[int, ...]], int] = {}
         self.depth_of: dict[int, int] = {}
-        # allocation-ordered records, used to merge per-worker interners
-        self._records: list[tuple] = []
 
     def __len__(self) -> int:
         return len(self.depth_of)
@@ -40,7 +41,6 @@ class LabelInterner:
             lid = len(self.depth_of)
             self._initial[raw_label] = lid
             self.depth_of[lid] = 0
-            self._records.append((raw_label,))
         return lid
 
     def refined_id(self, prev: int, neighborhood: tuple[int, ...]) -> int:
@@ -50,7 +50,6 @@ class LabelInterner:
             lid = len(self.depth_of)
             self._refined[key] = lid
             self.depth_of[lid] = self.depth_of[prev] + 1
-            self._records.append(key)
         return lid
 
 
@@ -95,76 +94,10 @@ class FeatureTable:
         return sum(h.mass for h in self.features.values())
 
 
-def wl_refine(g: LabeledGraph, labels: Sequence[int], interner: LabelInterner) -> list[int]:
-    """One refinement round: new label of v encodes (old label, sorted neighbor labels)."""
-    if len(labels) != g.n:
-        raise ValueError(f"expected {g.n} labels, got {len(labels)}")
-    adj = g.adjacency
-    return [
-        interner.refined_id(labels[v], tuple(sorted(labels[u] for u in adj[v])))
-        for v in range(g.n)
-    ]
-
-
-def extract_features(
-    g: LabeledGraph,
-    filtration: Filtration,
-    h: int,
-    interner: LabelInterner,
-) -> FeatureTable:
-    """Count every depth-0..h label on every filtration graph of g.
-
-    Level i of a feature's histogram is the number of vertices carrying that
-    label on the i-th filtration graph. Labels never observed do not appear.
-    """
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    k = len(filtration)
-    counts: dict[int, list[int]] = {}
-
-    def bump(lid: int, level: int) -> None:
-        hist = counts.get(lid)
-        if hist is None:
-            hist = [0] * k
-            counts[lid] = hist
-        hist[level] += 1
-
-    initial = [interner.initial_id(raw) for raw in g.labels]
-    for level, alpha in enumerate(filtration.thresholds):
-        g_level = filtration_graph(g, alpha)
-        labels = initial
-        for lid in labels:
-            bump(lid, level)
-        for _ in range(h):
-            labels = wl_refine(g_level, labels, interner)
-            for lid in labels:
-                bump(lid, level)
-
-    return FeatureTable(
-        {lid: FiltrationHistogram(tuple(c)) for lid, c in counts.items()},
-        num_levels=k,
-    )
-
-
-def _merge_worker_result(
-    global_interner: LabelInterner,
-    local_interner: LabelInterner,
-    table: FeatureTable,
-) -> FeatureTable:
-    """Re-intern one worker's local ids into the shared interner."""
-    mapping: dict[int, int] = {}
-    for lid, record in enumerate(local_interner._records):
-        if len(record) == 1:
-            mapping[lid] = global_interner.initial_id(record[0])
-        else:
-            prev, neigh = record
-            mapping[lid] = global_interner.refined_id(
-                mapping[prev], tuple(sorted(mapping[u] for u in neigh))
-            )
-    return FeatureTable(
-        {mapping[lid]: hist for lid, hist in table.features.items()},
-        num_levels=table.num_levels,
-    )
+# Size of one batch of consecutive graphs, counted as 2*m*k arc plus n*k
+# vertex entries of their level copies: the union's index arrays stay this
+# small however large the dataset. A graph larger than this is a batch alone.
+_BATCH_ENTRIES = 1 << 13
 
 
 def extract_all(
@@ -174,25 +107,184 @@ def extract_all(
     interner: LabelInterner,
     threads: int = 1,
 ) -> list[FeatureTable]:
-    """Feature tables for a whole dataset sharing one interner.
+    """Count every depth-0..h WL label on every filtration graph of every graph.
 
-    With threads > 1 each worker refines against a private interner and the
-    results are re-interned in dataset order, so ids (and every downstream
-    float) are identical to the sequential run.
+    Level i of a feature's histogram is the number of vertices carrying that
+    label on the i-th filtration graph; labels never observed do not appear.
+    `interner` must be empty. Its ids are those of interning each graph in
+    dataset order, level by level, round by round and vertex by vertex: the
+    sorted initial alphabet first, then each refined label at its first
+    occurrence in that order.
+
+    The level copies of a batch of consecutive graphs are refined together
+    as one disjoint union with array passes (see `_refine_batch`), so the
+    Python work is per distinct label per batch. `threads` is accepted for
+    compatibility and ignored; the result never depended on it.
     """
-    initial_alphabet = sorted({raw for g in graphs for raw in g.labels})
-    interner.register_initial(initial_alphabet)
-    if threads <= 1 or len(graphs) <= 1:
-        return [extract_features(g, filtration, h, interner) for g in graphs]
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    if len(interner):
+        raise ValueError(
+            f"extract_all needs an empty LabelInterner, got one holding {len(interner)} labels"
+        )
+    interner.register_initial(raw for g in graphs for raw in g.labels)
+    # the interner's int object of each id, so that keys and tables share one
+    # object per id instead of holding a copy per occurrence
+    id_objects = list(interner.depth_of)
+    k = len(filtration)
+    ascending = filtration.thresholds[::-1]
+    initial = interner._initial
+    n = np.array([g.n for g in graphs], dtype=np.int64)
+    m = np.array([len(g.edges) for g in graphs], dtype=np.int64)
+    vertex_end = np.cumsum(n)
+    edge_end = np.cumsum(m)
+    labels0 = np.fromiter((initial[raw] for g in graphs for raw in g.labels),
+                          dtype=np.int64, count=int(n.sum()))
+    ends = np.fromiter(itertools.chain.from_iterable(e for g in graphs for e in g.edges),
+                       dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
+    # An edge is on level i iff weight >= thresholds[i], i.e. from the level
+    # after the last threshold above it; Python comparisons keep this exact
+    # for integers above 2**53.
+    first = np.fromiter((k - bisect.bisect_right(ascending, w) for g in graphs for w in g.weights),
+                        dtype=np.int64, count=int(m.sum()))
 
-    def worker(g: LabeledGraph) -> tuple[LabelInterner, FeatureTable]:
-        local = LabelInterner()
-        local.register_initial(initial_alphabet)
-        return local, extract_features(g, filtration, h, local)
+    tables: list[dict[int, FiltrationHistogram]] = [{} for _ in graphs]
+    cost = (2 * m + n) * k
+    lo = 0
+    while lo < len(graphs):
+        hi, total = lo + 1, cost[lo]
+        while hi < len(graphs) and total + cost[hi] <= _BATCH_ENTRIES:
+            total += cost[hi]
+            hi += 1
+        v0, v1 = vertex_end[lo] - n[lo], vertex_end[hi - 1]
+        e0, e1 = edge_end[lo] - m[lo], edge_end[hi - 1]
+        graph, fid, counts = _refine_batch(n[lo:hi], m[lo:hi], labels0[v0:v1], ends[e0:e1],
+                                           first[e0:e1], k, h, interner, id_objects)
+        for g, f, row in zip(graph.tolist(), fid.tolist(), counts.tolist()):
+            tables[lo + g][id_objects[f]] = FiltrationHistogram(tuple(row))
+        lo = hi
+    return [FeatureTable(t, num_levels=k) for t in tables]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(worker, graphs))
-    return [_merge_worker_result(interner, local, table) for local, table in results]
+
+def _refine_batch(
+    n: np.ndarray,
+    m: np.ndarray,
+    labels0: np.ndarray,
+    ends: np.ndarray,
+    first: np.ndarray,
+    k: int,
+    h: int,
+    interner: LabelInterner,
+    id_objects: list[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """WL labels of every level copy of a few graphs; (graph, feature, counts) rows.
+
+    `n`/`m` are the graphs' vertex and edge counts, `labels0` their initial
+    ids, `ends` their edges (graph-local endpoints) and `first` each edge's
+    first level. Copy c = graph * k + level holds the graph's vertices and
+    the edges of that level. The ids this interns are appended to
+    `id_objects`.
+
+    One round sorts the arcs by (source, neighbour label) and builds each
+    vertex's signature one neighbour column at a time as the 1-D `np.unique`
+    inverse of sig * width + label; each column's classes get fresh numbers,
+    so vertices of different degree never share one. One representative per
+    class is then looked up by its exact key (label, sorted neighbour
+    labels). A key the interner lacks gets a temporary id >= `base`; at the
+    end, temporary ids become interner ids in order of first occurrence by
+    (graph, level, round, vertex), the order a vertex-by-vertex pass would
+    intern them in.
+    """
+    size = np.repeat(n, k)
+    copy_start = np.cumsum(size) - size
+    total = int(size.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty((0, k), dtype=np.int64)
+    copy_of = np.repeat(np.arange(len(size)), size)
+    local = np.arange(total) - copy_start[copy_of]
+    labels = np.empty((h + 1, total), dtype=np.int64)
+    labels[0] = labels0[(np.cumsum(n) - n)[copy_of // k] + local]
+
+    if h:
+        # one copy of each edge on each level from its first one on
+        present = k - first
+        edge = np.repeat(np.arange(len(first)), present)
+        run_start = np.repeat(np.cumsum(present) - present, present)
+        level = first[edge] + np.arange(len(edge)) - run_start
+        offset = copy_start[np.repeat(np.arange(len(n)), m)[edge] * k + level]
+        u = offset + ends[edge, 0]
+        v = offset + ends[edge, 1]
+        src = np.concatenate((u, v))
+        dst = np.concatenate((v, u))
+        degree = np.bincount(src, minlength=total)
+        start = np.cumsum(degree) - degree
+        # the sorted arcs' sources never change; column j holds each vertex's
+        # j-th arc, ordered by vertex
+        rank = np.arange(len(src)) - np.repeat(start, degree)
+        column = np.argsort(rank, kind="stable")
+        column_vertex = np.repeat(np.arange(total), degree)[column]
+        column_end = np.cumsum(np.bincount(rank)).tolist()
+
+    base = len(interner)
+    known = interner._refined
+    fresh: dict[tuple[int, tuple[int, ...]], int] = {}
+    for r in range(1, h + 1):
+        cur = labels[r - 1]
+        neighbour = cur[dst]
+        neighbour = neighbour[np.lexsort((neighbour, src))]
+        width = int(cur.max()) + 1
+        sig = cur.copy()
+        next_sig = width
+        by_column = neighbour[column]
+        col_lo = 0
+        for col_hi in column_end:
+            vs = column_vertex[col_lo:col_hi]
+            values, inverse = np.unique(sig[vs] * width + by_column[col_lo:col_hi],
+                                        return_inverse=True)
+            sig[vs] = inverse + next_sig
+            next_sig += len(values)
+            col_lo = col_hi
+        _, rep, cls = np.unique(sig, return_index=True, return_inverse=True)
+        neighbours = neighbour.tolist()
+        ids = []
+        for p, s, d in zip(cur[rep].tolist(), start[rep].tolist(), degree[rep].tolist()):
+            key = (p, tuple(neighbours[s:s + d]))
+            lid = known.get(key)
+            if lid is None:
+                lid = fresh.setdefault(key, base + len(fresh))
+            ids.append(lid)
+        labels[r] = np.array(ids, dtype=np.int64)[cls]
+
+    if fresh:
+        # every refined label at its (graph, level, round, vertex) position
+        sequence = np.empty(h * total, dtype=np.int64)
+        at = copy_start[copy_of] * h + local
+        step = size[copy_of]
+        for r in range(1, h + 1):
+            sequence[at + (r - 1) * step] = labels[r]
+        values, first_at = np.unique(sequence, return_index=True)
+        new = values >= base
+        final = [0] * len(fresh)
+        keys = list(fresh)
+        for t in (values[new][np.argsort(first_at[new])] - base).tolist():
+            prev, neigh = keys[t]
+            prev = id_objects[prev] if prev < base else final[prev - base]
+            neigh = [id_objects[x] if x < base else final[x - base] for x in neigh]
+            # temporary ids sort last, so a key without one stays sorted
+            if neigh and neigh[-1] >= base:
+                neigh.sort()
+            final[t] = interner.refined_id(prev, tuple(neigh))
+            id_objects.append(final[t])
+        refined = labels[1:]
+        temporary = refined >= base
+        refined[temporary] = np.array(final, dtype=np.int64)[refined[temporary] - base]
+
+    width = len(interner)
+    pair = ((copy_of // k) * width + labels).ravel()
+    pairs, inverse = np.unique(pair, return_inverse=True)
+    counts = np.bincount(inverse * k + np.tile(copy_of % k, h + 1), minlength=len(pairs) * k)
+    return pairs // width, pairs % width, counts.reshape(-1, k)
 
 
 def dump_feature_table(table: FeatureTable, interner: LabelInterner) -> str:

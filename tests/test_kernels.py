@@ -22,7 +22,9 @@ from wlfiltration import (
     build_filtration,
     extract_all,
     filtration_kernel_pair,
+    fit_thresholds_auto,
     gram_matrix,
+    gram_matrix_for_filtration,
     histogram_kernel_pair,
     permute_graph,
     product_kernel_pair,
@@ -227,6 +229,21 @@ def test_gram_auto_thresholds():
     K = gram_matrix(ds, WeightFunctionSpec("degree"), "auto", cfg).values
     assert K.shape == (6, 6)
     assert np.linalg.eigvalsh(K).min() >= -1e-8 * np.trace(K)
+
+
+def test_integer_thresholds_keep_exact_gaps():
+    # Thresholds 2**60 + 2 > 2**60 + 1 > 2**60 > 5: the first two gaps are 1,
+    # which float64 rounds to 0. The graphs differ only on those two levels
+    # (the cumulative counts up to 2**60 agree), so only exact gaps give a
+    # nonzero W1 and separate them.
+    edges = [(0, 1), (2, 3), (4, 5)]
+    a = LabeledGraph.build(6, edges, weights=[2**60 + 2, 2**60, 5])
+    b = LabeledGraph.build(6, edges, weights=[2**60 + 1, 2**60 + 1, 5])
+    filt = fit_thresholds_auto([2**60, 2**60 + 1, 2**60 + 2, 5])
+    assert GroundLine(filt.thresholds).gaps == (1, 1, 2**60 - 5)
+    ds = GraphDataset((a, b), (0, 1))
+    K = gram_matrix_for_filtration(ds, WeightFunctionSpec(), filt, KernelConfig(h=1)).values
+    assert squared_kernel_distance(K, 0, 1) > 0.1
 
 
 def test_gram_threads_match_on_reversed_cube():

@@ -1,20 +1,31 @@
-"""The benchmark runs one short workload end to end and reports a clean result."""
+"""The benchmark runs every workload end to end, in both modes, and reports a clean result."""
 
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_random_pairs_runs_clean():
+def _per_layer_names() -> set[str]:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"] for m in json.load(fh)["per_layer"]}
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", ["csl-walks", "random-pairs", "native-fit"])
+def test_benchmark_runs_clean(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "random-pairs",
-         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["correct"] is True
+    assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0, proc.stdout
+    if trace:
+        assert _per_layer_names() <= result["metrics"].keys(), proc.stdout

@@ -1,9 +1,12 @@
 """Label refinement, interning, and filtration-histogram extraction."""
 
+import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wlfiltration import (
     Filtration,
@@ -12,13 +15,13 @@ from wlfiltration import (
     LabeledGraph,
     dump_feature_table,
     extract_all,
-    extract_features,
     permute_graph,
     weight_triangles,
-    wl_refine,
 )
+from wlfiltration import wl
 
 from conftest import path3, prism_graph, random_graph
+from wl_reference import extract_all_reference, wl_refine
 
 
 def test_refine_edgeless_uniform():
@@ -91,7 +94,7 @@ def test_interner_density_and_depth():
 
 def test_extract_single_edge_h0():
     g = LabeledGraph.build(2, [(0, 1)])
-    table = extract_features(g, Filtration((0.0,)), 0, LabelInterner())
+    (table,) = extract_all([g], Filtration((0.0,)), 0, LabelInterner())
     assert len(table.features) == 1
     (hist,) = table.features.values()
     assert hist.counts == (2,)
@@ -101,7 +104,7 @@ def test_extract_single_edge_h0():
 def test_extract_path_two_levels():
     g = path3(2.0, 1.0)
     interner = LabelInterner()
-    table = extract_features(g, Filtration((2.0, 1.0)), 1, interner)
+    (table,) = extract_all([g], Filtration((2.0, 1.0)), 1, interner)
     by_counts = sorted(h.counts for h in table.features.values())
     # initial label [3,3]; endpoint-with-one-neighbor [2,2];
     # isolated vertex [1,0]; middle-with-two-neighbors [0,1]
@@ -122,7 +125,7 @@ def test_extract_mass_accounting():
                                   reverse=True)) or (0.0,)
         filt = Filtration(thresholds)
         h = rng.randint(0, 3)
-        table = extract_features(g, filt, h, LabelInterner())
+        (table,) = extract_all([g], filt, h, LabelInterner())
         assert table.total_mass() == (h + 1) * len(filt) * g.n
         assert all(hist.mass >= 1 for hist in table.features.values())
 
@@ -136,9 +139,7 @@ def test_extract_permutation_invariance():
         rng.shuffle(perm)
         p = permute_graph(g, perm)
         filt = Filtration((2.0, 1.0))
-        interner = LabelInterner()
-        t_g = extract_features(g, filt, 2, interner)
-        t_p = extract_features(p, filt, 2, interner)
+        t_g, t_p = extract_all([g, p], filt, 2, LabelInterner())
         assert t_g == t_p
 
 
@@ -166,10 +167,69 @@ def test_histogram_normalization():
 def test_dump_feature_table_golden():
     g = path3(2.0, 1.0)
     interner = LabelInterner()
-    table = extract_features(g, Filtration((2.0, 1.0)), 1, interner)
+    (table,) = extract_all([g], Filtration((2.0, 1.0)), 1, interner)
     assert dump_feature_table(table, interner) == (
         "0 0 3 3\n"
         "1 1 2 2\n"
         "2 1 1 0\n"
         "3 1 0 1\n"
     )
+
+
+# Small integers, integers around 2**60 (with one float among them, exact
+# at that size, so weights and thresholds mix types) and non-integral floats.
+_WEIGHT_POOLS = (
+    [0, 1, 2, 3],
+    [2**60 + d for d in range(-2, 3)] + [float(2**60 + 4096)],
+    [0.5, 1.0, 2.5],
+)
+
+
+@st.composite
+def _datasets(draw):
+    pool = draw(st.sampled_from(_WEIGHT_POOLS))
+    graphs = []
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, 7))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        weights = draw(st.lists(st.sampled_from(pool), min_size=len(edges), max_size=len(edges)))
+        graphs.append(LabeledGraph.build(n, edges, labels, weights))
+    thresholds = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    return graphs, Filtration(tuple(sorted(thresholds, reverse=True)))
+
+
+_EDGELESS = LabeledGraph.build(4, [], [2, 0, 2, 1])
+_EMPTY = LabeledGraph.build(0, [])
+_ISOLATED = LabeledGraph.build(5, [(0, 1), (1, 2)], [0, 0, 0, 1, 1], [2**60 + 1, 2**60])
+
+
+@pytest.mark.parametrize("cap", [1, 50, wl._BATCH_ENTRIES])
+@settings(max_examples=150, deadline=None)
+@given(data=_datasets(), h=st.integers(0, 4))
+@example(data=([], Filtration((0,))), h=2)
+@example(data=([_EMPTY], Filtration((1, 0))), h=3)
+@example(data=([_ISOLATED], Filtration((2**60,))), h=4)
+@example(data=([_EDGELESS, _EMPTY, _ISOLATED, _EDGELESS], Filtration((2**60 + 1, 2**60))), h=4)
+def test_extract_all_matches_reference(cap, data, h):
+    graphs, filt = data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wl, "_BATCH_ENTRIES", cap)
+        interner = LabelInterner()
+        tables = extract_all(graphs, filt, h, interner)
+    reference = LabelInterner()
+    assert tables == extract_all_reference(graphs, filt, h, reference)
+    assert list(interner.depth_of.items()) == list(reference.depth_of.items())
+
+
+def test_extract_all_rejects_used_interner():
+    interner = LabelInterner()
+    interner.register_initial([0])
+    with pytest.raises(ValueError, match="empty LabelInterner"):
+        extract_all([path3()], Filtration((0.0,)), 1, interner)
+
+
+def test_extract_all_rejects_negative_h_without_graphs():
+    with pytest.raises(ValueError, match="h must be >= 0"):
+        extract_all([], Filtration((0.0,)), -1, LabelInterner())
