@@ -35,11 +35,8 @@ from .kernels import (
     GramMatrix,
     KernelConfig,
     build_filtration,
-    filtration_kernel_pair,
     gram_matrix,
     gram_matrix_for_filtration,
-    histogram_kernel_pair,
-    product_kernel_pair,
     squared_kernel_distance,
 )
 from .transport import (
@@ -49,21 +46,14 @@ from .transport import (
     wasserstein_cdf_points,
     wasserstein_matching,
 )
-from .wl import (
-    FeatureTable,
-    FiltrationHistogram,
-    LabelInterner,
-    dump_feature_table,
-    extract_all,
-)
+from .wl import FeatureCounts, LabelInterner, extract_all
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "DatasetFormatError",
-    "FeatureTable",
+    "FeatureCounts",
     "Filtration",
-    "FiltrationHistogram",
     "GramMatrix",
     "GraphDataset",
     "GroundLine",
@@ -76,10 +66,8 @@ __all__ = [
     "build_filtration",
     "compute_weights",
     "csl_graph",
-    "dump_feature_table",
     "extract_all",
     "filtration_graph",
-    "filtration_kernel_pair",
     "filtration_sequence",
     "fit_thresholds",
     "fit_thresholds_auto",
@@ -87,12 +75,10 @@ __all__ = [
     "generate_csl_benchmark",
     "gram_matrix",
     "gram_matrix_for_filtration",
-    "histogram_kernel_pair",
     "load_manifest",
     "load_tud_dataset",
     "permute_graph",
     "pooled_weights",
-    "product_kernel_pair",
     "read_gram_csv",
     "reweight",
     "squared_kernel_distance",

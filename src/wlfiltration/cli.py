@@ -7,6 +7,8 @@ import bisect
 import sys
 import time
 
+import numpy as np
+
 from .csl import generate_csl, generate_csl_benchmark
 from .filtration import WeightFunctionSpec
 from .gram_io import (
@@ -133,7 +135,7 @@ def run_compute(args: argparse.Namespace) -> RunManifest:
         output_format=args.format,
         output_path=args.out,
         threads=args.threads,
-        thresholds=tuple(float(t) for t in filtration.thresholds),
+        thresholds=filtration.thresholds,
         wall_time_seconds=elapsed,
     )
     manifest.save(manifest_path_for(args.out))
@@ -192,11 +194,12 @@ def run_inspect(args: argparse.Namespace) -> None:
         print(f"level {level}: alpha={alpha} edges={edges}")
 
     interner = LabelInterner()
-    tables = extract_all(weighted, filtration, args.h, interner)
-    sizes = [len(t.features) for t in tables]
+    store = extract_all(weighted, filtration, args.h, interner)
+    sizes = np.bincount(store.graph, minlength=store.num_graphs)
     print(f"features: {len(interner)} distinct labels")
     print(
-        f"table sizes: min={min(sizes)} mean={sum(sizes) / len(sizes):.1f} max={max(sizes)}"
+        f"table sizes: min={sizes.min()} mean={len(store.graph) / len(sizes):.1f} "
+        f"max={sizes.max()}"
     )
 
 

@@ -75,7 +75,7 @@ class RunManifest:
     output_format: str
     output_path: str
     threads: int
-    thresholds: tuple[float, ...]
+    thresholds: tuple[int | float, ...]  # as fitted: integer thresholds stay exact
     wall_time_seconds: float
 
     def save(self, path: str) -> None:

@@ -1,8 +1,7 @@
-"""Graph-pair kernels over feature tables and Gram-matrix assembly."""
+"""Gram-matrix assembly from dataset-level WL feature counts."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -18,8 +17,8 @@ from .filtration import (
     reweight,
 )
 from .graphs import GraphDataset
-from .transport import GroundLine, wasserstein_cdf_points
-from .wl import FeatureTable, LabelInterner, extract_all
+from .transport import GroundLine
+from .wl import FeatureCounts, LabelInterner, extract_all
 
 VARIANTS = ("linear_combination", "product")
 
@@ -62,146 +61,71 @@ class GramMatrix:
         return len(self.graph_ids)
 
 
-def _check_tables(t1: FeatureTable, t2: FeatureTable, line: GroundLine) -> None:
-    if t1.num_levels != len(line) or t2.num_levels != len(line):
+# Pair chunk of the assembly: a chunk's index and pairs x (k-1) distance
+# temporaries stay near this many pairs however many graphs share a feature.
+_CHUNK_PAIRS = 1 << 12
+
+
+def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) -> np.ndarray:
+    """Unnormalized kernel matrix from the dataset's feature counts.
+
+    Each row's histogram becomes its CDF scaled by the gaps between
+    thresholds; on a line W1 is the L1 distance between such rows. Every row
+    adds its squared mass to its graph's diagonal entry (W1 is 0 there), and
+    every pair of rows of one feature adds a term to both of its entries:
+    m_a * m_c * exp(-gamma * W1) for the linear variant. The product variant
+    sums W1 in float and the mass products exactly in int64, then takes
+    exp(-gamma * sum W1 - beta * (|m_i|^2 + |m_j|^2 - 2 <m_i, m_j>)).
+
+    The pairs are visited in bounded chunks of consecutive rows, and
+    `np.add.at` adds in index order, so every entry sums its terms in
+    ascending feature id, however the rows are chunked.
+    """
+    if store.num_levels != len(line):
         raise ValueError(
-            f"feature tables over {t1.num_levels}/{t2.num_levels} levels do not match "
+            f"feature counts over {store.num_levels} levels do not match "
             f"ground line of length {len(line)}"
         )
-
-
-def filtration_kernel_pair(
-    t1: FeatureTable,
-    t2: FeatureTable,
-    line: GroundLine,
-    gamma: float,
-) -> float:
-    """Sum over shared features of exp(-gamma*W) weighted by both histogram masses.
-
-    Features present in only one graph contribute zero, so only the
-    intersection is visited; ids are visited in ascending order to keep the
-    float result run-deterministic.
-    """
-    _check_tables(t1, t2, line)
-    small, large = (t1, t2) if len(t1.features) <= len(t2.features) else (t2, t1)
-    shared = sorted(fid for fid in small.features if fid in large.features)
-    total = 0.0
-    for fid in shared:
-        h1 = t1.features[fid]
-        h2 = t2.features[fid]
-        w = wasserstein_cdf_points(h1.nonzero_cdf, h2.nonzero_cdf, line)
-        total += math.exp(-gamma * w) * h1.mass * h2.mass
-    return total
-
-
-def product_kernel_pair(
-    t1: FeatureTable,
-    t2: FeatureTable,
-    line: GroundLine,
-    gamma: float,
-    beta: float,
-) -> float:
-    """Product over features of base kernel times a mass-difference RBF factor.
-
-    A feature absent from one table keeps a base factor of 1 and contributes
-    only exp(-beta * mass^2); absent from both, it contributes 1 and is
-    skipped. The product is accumulated in log space to avoid underflow.
-    """
-    _check_tables(t1, t2, line)
-    log_total = 0.0
-    for fid in sorted(set(t1.features) | set(t2.features)):
-        h1 = t1.features.get(fid)
-        h2 = t2.features.get(fid)
-        if h1 is not None and h2 is not None:
-            w = wasserstein_cdf_points(h1.nonzero_cdf, h2.nonzero_cdf, line)
-            log_total -= gamma * w
-            diff = h1.mass - h2.mass
-        elif h1 is not None:
-            diff = h1.mass
-        else:
-            diff = h2.mass
-        log_total -= beta * diff * diff
-    return math.exp(log_total)
-
-
-def histogram_kernel_pair(t1: FeatureTable, t2: FeatureTable) -> float:
-    """Feature-frequency dot product; defined only for single-level tables."""
-    if t1.num_levels != 1 or t2.num_levels != 1:
-        raise ValueError("histogram kernel requires feature tables with a single level")
-    small, large = (t1, t2) if len(t1.features) <= len(t2.features) else (t2, t1)
-    shared = sorted(fid for fid in small.features if fid in large.features)
-    total = 0.0
-    for fid in shared:
-        total += 1.0 * t1.features[fid].mass * t2.features[fid].mass
-    return total
-
-
-# Row chunk of the pairwise distances: the rows x r x (k-1) temporary stays
-# near this many doubles however many graphs share a feature.
-_CHUNK_DOUBLES = 16384
-
-
-def _w1_matrix(counts: np.ndarray, mass: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """Pairwise W1 between the normalized count rows, as an r x r matrix.
-
-    On a line W1 is the L1 distance between the CDFs, each level weighted by
-    its gap to the next threshold, so every row is scaled once and the
-    distances are plain L1 distances between rows.
-    """
-    cdf = np.cumsum(counts[:, :-1], axis=1) / mass[:, None] * gaps
-    r = len(cdf)
-    out = np.empty((r, r))
-    step = max(1, _CHUNK_DOUBLES // max(1, cdf.size))
-    for lo in range(0, r, step):
-        out[lo:lo + step] = np.abs(cdf[lo:lo + step, None, :] - cdf[None, :, :]).sum(axis=2)
-    return out
-
-
-def assemble_gram(
-    tables: Sequence[FeatureTable], line: GroundLine, config: KernelConfig
-) -> np.ndarray:
-    """Unnormalized kernel matrix over feature tables, one block per shared feature.
-
-    Equals `filtration_kernel_pair` (linear) or `product_kernel_pair`
-    (product) on every pair, up to rounding. Features are visited in
-    ascending id. A feature held by one graph only adds its squared mass to
-    that graph's diagonal; one held by r >= 2 graphs adds an r x r block. The
-    product variant sums W1 in float and the mass products exactly in int64,
-    then takes exp(-gamma * sum W1 - beta * (|m_i|^2 + |m_j|^2 - 2 <m_i, m_j>)).
-    """
-    for t in tables:
-        _check_tables(t, t, line)
-    held: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for g, t in enumerate(tables):
-        for fid, hist in t.features.items():
-            held.setdefault(fid, []).append((g, hist.counts))
-
-    n = len(tables)
+    n = store.num_graphs
     product = config.variant == "product"
+    graph = store.graph
+    mass = store.counts.sum(axis=1)
     gaps = np.asarray(line.gaps, dtype=np.float64)
+    cdf = np.cumsum(store.counts[:, :-1], axis=1) / mass[:, None] * gaps
     # linear: the kernel; product: the shared mass <m_i, m_j>, exact
     acc = np.zeros((n, n), dtype=np.int64 if product else np.float64)
     w1_sum = np.zeros((n, n)) if product else None
-    alone_graph: list[int] = []
-    alone_mass: list[int] = []
-    for fid in sorted(held):
-        rows = held[fid]
-        if len(rows) == 1:
-            alone_graph.append(rows[0][0])
-            alone_mass.append(sum(rows[0][1]))
-            continue
-        idx = np.array([g for g, _ in rows], dtype=np.intp)
-        counts = np.array([c for _, c in rows], dtype=np.int64)
-        mass = counts.sum(axis=1)
-        w1 = _w1_matrix(counts, mass, gaps)
-        block = np.ix_(idx, idx)
+    # 1-D views: np.add.at is far faster on flat indices than on index pairs
+    flat_acc = acc.reshape(-1)
+    np.add.at(flat_acc, graph * (n + 1), mass * mass)
+
+    # row r pairs with the later rows of its feature block
+    rows = len(graph)
+    block_start = np.flatnonzero(np.diff(store.feature, prepend=-1))
+    block_end = np.append(block_start[1:], rows)
+    partners = np.repeat(block_end, np.diff(block_end, prepend=0)) - np.arange(rows) - 1
+    through = np.cumsum(partners)
+    lo = 0
+    while lo < rows:
+        hi = max(lo + 1, int(np.searchsorted(through, through[lo] - partners[lo] + _CHUNK_PAIRS,
+                                             side="right")))
+        cnt = partners[lo:hi]
+        a = np.repeat(np.arange(lo, hi), cnt)
+        c = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        diff = np.take(cdf, a, axis=0)
+        diff -= np.take(cdf, c, axis=0)
+        w1 = np.abs(diff, out=diff).sum(axis=1)
+        ga, gc = np.take(graph, a), np.take(graph, c)
+        mm = np.take(mass, a) * np.take(mass, c)
         if product:
-            w1_sum[block] += w1
-            acc[block] += np.outer(mass, mass)
+            terms = ((w1_sum.reshape(-1), w1), (flat_acc, mm))
         else:
-            acc[block] += np.outer(mass, mass) * np.exp(-config.gamma * w1)
-    alone = np.array(alone_graph, dtype=np.intp)
-    np.add.at(acc, (alone, alone), np.square(np.array(alone_mass, dtype=np.int64)))
+            terms = ((flat_acc, mm * np.exp(-config.gamma * w1)),)
+        upper, lower = ga * n + gc, gc * n + ga
+        for target, value in terms:
+            np.add.at(target, upper, value)
+            np.add.at(target, lower, value)
+        lo = hi
     if not product:
         return acc
     sq = np.diag(acc)
@@ -220,7 +144,7 @@ def gram_matrix(
     config: KernelConfig,
     threads: int = 1,
 ) -> GramMatrix:
-    """Full pipeline: weights, shared thresholds, feature tables, kernel matrix.
+    """Full pipeline: weights, shared thresholds, feature counts, kernel matrix.
 
     `k` is the filtration length, or the string 'auto' for one threshold per
     distinct pooled edge weight. Cosine normalization rescales to unit
@@ -261,10 +185,8 @@ def gram_matrix_for_filtration(
         raise ValueError("dataset contains a graph with zero vertices")
     weighted = [reweight(g, spec) for g in dataset.graphs]
 
-    interner = LabelInterner()
-    tables = extract_all(weighted, filtration, config.h, interner)
-    line = GroundLine(filtration.thresholds)
-    values = assemble_gram(tables, line, config)
+    store = extract_all(weighted, filtration, config.h, LabelInterner())
+    values = assemble_gram(store, GroundLine(filtration.thresholds), config)
 
     if config.normalize:
         diag = np.diag(values).copy()
@@ -276,7 +198,7 @@ def gram_matrix_for_filtration(
 
     return GramMatrix(
         values=values,
-        graph_ids=tuple(range(len(tables))),
+        graph_ids=tuple(range(len(weighted))),
         class_labels=dataset.class_labels,
     )
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,45 +52,25 @@ class LabelInterner:
         return lid
 
 
-@dataclass(frozen=True)
-class FiltrationHistogram:
-    """Occurrence counts of one feature across the k filtration graphs."""
+@dataclass(frozen=True, eq=False)
+class FeatureCounts:
+    """Filtration histograms of a whole dataset, one row per (graph, feature).
 
-    counts: tuple[int, ...]
+    Row r says that graph `graph[r]` carries feature `feature[r]` with
+    `counts[r, i]` vertices on filtration level i; every row has mass >= 1,
+    and pairs that do not occur have no row. Rows are sorted by (feature,
+    graph), so the graphs sharing a feature form one contiguous block: the
+    sparse graph x feature matrix of a WL kernel, with a histogram per entry.
+    """
+
+    graph: np.ndarray
+    feature: np.ndarray
+    counts: np.ndarray
+    num_graphs: int
 
     @property
-    def mass(self) -> int:
-        return sum(self.counts)
-
-    @cached_property
-    def normalized(self) -> tuple[float, ...]:
-        m = self.mass
-        if m == 0:
-            raise ValueError("zero-mass histogram has no normalized form")
-        return tuple(c / m for c in self.counts)
-
-    @cached_property
-    def nonzero_cdf(self) -> tuple[tuple[int, float], ...]:
-        """(level index, cumulative normalized mass) at each nonzero entry."""
-        m = self.mass
-        out = []
-        running = 0
-        for i, c in enumerate(self.counts):
-            if c:
-                running += c
-                out.append((i, running / m))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class FeatureTable:
-    """Feature id -> filtration histogram for one graph; absent means zero mass."""
-
-    features: dict[int, FiltrationHistogram]
-    num_levels: int
-
-    def total_mass(self) -> int:
-        return sum(h.mass for h in self.features.values())
+    def num_levels(self) -> int:
+        return self.counts.shape[1]
 
 
 # Size of one batch of consecutive graphs, counted as 2*m*k arc plus n*k
@@ -106,11 +85,11 @@ def extract_all(
     h: int,
     interner: LabelInterner,
     threads: int = 1,
-) -> list[FeatureTable]:
+) -> FeatureCounts:
     """Count every depth-0..h WL label on every filtration graph of every graph.
 
     Level i of a feature's histogram is the number of vertices carrying that
-    label on the i-th filtration graph; labels never observed do not appear.
+    label on the i-th filtration graph; labels never observed have no row.
     `interner` must be empty. Its ids are those of interning each graph in
     dataset order, level by level, round by round and vertex by vertex: the
     sorted initial alphabet first, then each refined label at its first
@@ -128,8 +107,8 @@ def extract_all(
             f"extract_all needs an empty LabelInterner, got one holding {len(interner)} labels"
         )
     interner.register_initial(raw for g in graphs for raw in g.labels)
-    # the interner's int object of each id, so that keys and tables share one
-    # object per id instead of holding a copy per occurrence
+    # the interner's int object of each id, so that its keys share one object
+    # per id instead of holding a copy per occurrence
     id_objects = list(interner.depth_of)
     k = len(filtration)
     ascending = filtration.thresholds[::-1]
@@ -148,7 +127,8 @@ def extract_all(
     first = np.fromiter((k - bisect.bisect_right(ascending, w) for g in graphs for w in g.weights),
                         dtype=np.int64, count=int(m.sum()))
 
-    tables: list[dict[int, FiltrationHistogram]] = [{} for _ in graphs]
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(empty, empty, np.empty((0, k), dtype=np.int64))]
     cost = (2 * m + n) * k
     lo = 0
     while lo < len(graphs):
@@ -160,10 +140,12 @@ def extract_all(
         e0, e1 = edge_end[lo] - m[lo], edge_end[hi - 1]
         graph, fid, counts = _refine_batch(n[lo:hi], m[lo:hi], labels0[v0:v1], ends[e0:e1],
                                            first[e0:e1], k, h, interner, id_objects)
-        for g, f, row in zip(graph.tolist(), fid.tolist(), counts.tolist()):
-            tables[lo + g][id_objects[f]] = FiltrationHistogram(tuple(row))
+        parts.append((graph + lo, fid, counts))
         lo = hi
-    return [FeatureTable(t, num_levels=k) for t in tables]
+    graph, feature, counts = map(np.concatenate, zip(*parts))
+    del parts  # the batches go before the sorted copies are made
+    order = np.lexsort((graph, feature))
+    return FeatureCounts(graph[order], feature[order], counts[order], num_graphs=len(graphs))
 
 
 def _refine_batch(
@@ -286,12 +268,3 @@ def _refine_batch(
     counts = np.bincount(inverse * k + np.tile(copy_of % k, h + 1), minlength=len(pairs) * k)
     return pairs // width, pairs % width, counts.reshape(-1, k)
 
-
-def dump_feature_table(table: FeatureTable, interner: LabelInterner) -> str:
-    """Debug text form: one `feature_id depth counts...` line per feature."""
-    lines = []
-    for lid in sorted(table.features):
-        hist = table.features[lid]
-        counts = " ".join(str(c) for c in hist.counts)
-        lines.append(f"{lid} {interner.depth_of[lid]} {counts}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -22,13 +22,10 @@ from wlfiltration import (
     WeightFunctionSpec,
     build_filtration,
     extract_all,
-    filtration_kernel_pair,
     generate_csl_benchmark,
     gram_matrix,
-    histogram_kernel_pair,
     load_tud_dataset,
     permute_graph,
-    product_kernel_pair,
     squared_kernel_distance,
     wasserstein_1d,
     wasserstein_matching,
@@ -38,6 +35,12 @@ from wlfiltration.cli import main as cli_main
 from wlfiltration.kernels import gram_matrix_for_filtration
 
 from conftest import k33_graph, prism_graph, random_dataset, random_graph
+from kernel_reference import (
+    filtration_kernel_pair,
+    histogram_kernel_pair,
+    product_kernel_pair,
+    tables_from,
+)
 from test_transport import random_line, random_rational_hist
 
 
@@ -47,7 +50,7 @@ def report(number: int, ok: bool, description: str) -> None:
 
 
 def _tables_k1(graphs, h):
-    tables = extract_all(list(graphs), Filtration((0.0,)), h, LabelInterner())
+    tables = tables_from(extract_all(list(graphs), Filtration((0.0,)), h, LabelInterner()))
     return tables, GroundLine((0.0,))
 
 

@@ -11,6 +11,7 @@ from wlfiltration import (
     KernelConfig,
     LabeledGraph,
     WeightFunctionSpec,
+    build_filtration,
     gram_matrix,
     load_manifest,
     read_gram_csv,
@@ -184,6 +185,23 @@ def test_manifest_replay_reproduces_gram_bytes(tmp_path, mini_tud_dir, capsys):
     first = out.read_bytes()
     replay(manifest_path_for(str(out)))
     assert out.read_bytes() == first
+
+
+def test_manifest_keeps_integer_thresholds_exact(tmp_path):
+    # walks of length <= 60 on a triangle number about 2**60, beyond exact floats
+    graphs = (LabeledGraph.build(3, [(0, 1), (1, 2), (2, 0)]),
+              LabeledGraph.build(3, [(0, 1), (1, 2)]), LabeledGraph.build(2, [(0, 1)]))
+    dataset = GraphDataset(graphs, (0, 1, 0))
+    write_tud_dataset(dataset, str(tmp_path), "T")
+    out = tmp_path / "t.csv"
+    assert _run_cli("compute", "--dataset", str(tmp_path), "--name", "T", "--weights", "walks",
+                    "--lambda", "60", "--out", str(out)) == 0
+    spec = WeightFunctionSpec("walks", walk_length=60)
+    filtration = build_filtration(dataset, spec, "auto")
+    assert any(float(t) != t for t in filtration.thresholds)
+    thresholds = load_manifest(manifest_path_for(str(out))).thresholds
+    assert thresholds == filtration.thresholds
+    assert all(type(t) is int for t in thresholds)
 
 
 def test_cli_threads_do_not_change_output(tmp_path, mini_tud_dir):

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from wlfiltration import (
     Filtration,
-    FiltrationHistogram,
-    FeatureTable,
     GraphDataset,
     GroundLine,
     KernelConfig,
@@ -21,19 +19,24 @@ from wlfiltration import (
     WeightFunctionSpec,
     build_filtration,
     extract_all,
-    filtration_kernel_pair,
     fit_thresholds_auto,
     gram_matrix,
     gram_matrix_for_filtration,
-    histogram_kernel_pair,
     permute_graph,
-    product_kernel_pair,
     reweight,
     squared_kernel_distance,
 )
 from wlfiltration import kernels
 
 from conftest import k33_graph, prism_graph, random_dataset, random_graph
+from kernel_reference import (
+    FeatureTable,
+    FiltrationHistogram,
+    filtration_kernel_pair,
+    histogram_kernel_pair,
+    product_kernel_pair,
+    tables_from,
+)
 
 
 def table(features: dict[int, tuple[int, ...]], k: int) -> FeatureTable:
@@ -61,7 +64,7 @@ def test_filtration_pair_disjoint_features_is_zero():
 
 def test_filtration_pair_single_edge_self():
     g = LabeledGraph.build(2, [(0, 1)])
-    tables = extract_all([g, g], Filtration((0.0,)), 0, LabelInterner())
+    tables = tables_from(extract_all([g, g], Filtration((0.0,)), 0, LabelInterner()))
     line = GroundLine((0.0,))
     value = filtration_kernel_pair(tables[0], tables[1], line, 1.0)
     assert value == 4.0
@@ -78,7 +81,7 @@ def test_k1_reduction_to_histogram_kernel():
     rng = random.Random(10)
     graphs = [random_graph(rng, max_n=10) for _ in range(12)]
     for h in range(3):
-        tables = extract_all(graphs, Filtration((0.0,)), h, LabelInterner())
+        tables = tables_from(extract_all(graphs, Filtration((0.0,)), h, LabelInterner()))
         line = GroundLine((0.0,))
         for t1, t2 in itertools.combinations(tables, 2):
             filt_val = filtration_kernel_pair(t1, t2, line, 2.5)
@@ -90,7 +93,7 @@ def test_histogram_kernel_examples():
     assert histogram_kernel_pair(table({0: (1,)}, 1), table({1: (1,)}, 1)) == 0.0
     assert histogram_kernel_pair(table({0: (1,)}, 1), table({0: (1,)}, 1)) == 1.0
     triangle = LabeledGraph.build(3, [(0, 1), (1, 2), (2, 0)])
-    tables = extract_all([triangle, triangle], Filtration((0.0,)), 1, LabelInterner())
+    tables = tables_from(extract_all([triangle, triangle], Filtration((0.0,)), 1, LabelInterner()))
     assert histogram_kernel_pair(tables[0], tables[1]) == 18.0
     with pytest.raises(ValueError, match="single level"):
         histogram_kernel_pair(table({0: (1, 1)}, 2), table({0: (1, 1)}, 2))
@@ -124,7 +127,7 @@ def test_product_k1_reduction_to_rbf():
     graphs = [random_graph(rng, max_n=9) for _ in range(10)]
     beta = 0.3
     for h in range(3):
-        tables = extract_all(graphs, Filtration((0.0,)), h, LabelInterner())
+        tables = tables_from(extract_all(graphs, Filtration((0.0,)), h, LabelInterner()))
         line = GroundLine((0.0,))
         for t1, t2 in itertools.combinations(tables, 2):
             prod_val = product_kernel_pair(t1, t2, line, 1.9, beta)
@@ -194,7 +197,7 @@ def test_edgeless_dataset_gives_histogram_kernel():
               LabeledGraph.build(3, [], (2, 1, 2)))
     ds = GraphDataset(graphs, (0, 1, 0))
     spec = WeightFunctionSpec("degree")
-    tables = extract_all(graphs, Filtration((0.0,)), 2, LabelInterner())
+    tables = tables_from(extract_all(graphs, Filtration((0.0,)), 2, LabelInterner()))
     want = np.array([[histogram_kernel_pair(a, b) for b in tables] for a in tables])
     with pytest.warns(UserWarning, match="no edge weights; filtration length reduced"):
         assert build_filtration(ds, spec, 3) == Filtration((0.0,))
@@ -300,7 +303,8 @@ def test_gram_matches_pair_oracles(variant, k, h, normalize, seed):
     cfg = KernelConfig(h=h, gamma=0.8, beta=0.05, variant=variant, normalize=normalize)
     filt = build_filtration(ds, spec, k)
     assert len(filt) == k
-    tables = extract_all([reweight(g, spec) for g in ds.graphs], filt, h, LabelInterner())
+    weighted = [reweight(g, spec) for g in ds.graphs]
+    tables = tables_from(extract_all(weighted, filt, h, LabelInterner()))
     held = [fid for t in tables for fid in t.features]
     assert any(held.count(fid) == 1 for fid in held)
 
@@ -313,12 +317,25 @@ def test_gram_matches_pair_oracles(variant, k, h, normalize, seed):
 
 @pytest.mark.parametrize("variant", ["linear_combination", "product"])
 def test_assemble_row_chunks_do_not_change_values(monkeypatch, variant):
-    ds = weighted_dataset(3, count=20)
+    # vertex 0 of every graph is labeled 0, so that depth-0 feature is held by
+    # all 21 graphs and its 210 pairs span many chunks of 1 or 7 pairs
+    graphs = [LabeledGraph.build(g.n, g.edges, (0,) + g.labels[1:], g.weights)
+              for g in weighted_dataset(3, count=20).graphs]
+    ds = GraphDataset(tuple(graphs), tuple(range(len(graphs))))
     spec = WeightFunctionSpec("native")
     filt = build_filtration(ds, spec, 6)
-    tables = extract_all([reweight(g, spec) for g in ds.graphs], filt, 1, LabelInterner())
+    store = extract_all(graphs, filt, 1, LabelInterner())
+    assert np.count_nonzero(store.feature == 0) == len(graphs)
     line = GroundLine(filt.thresholds)
     cfg = KernelConfig(h=1, beta=0.05, variant=variant)
-    whole = kernels.assemble_gram(tables, line, cfg)
-    monkeypatch.setattr(kernels, "_CHUNK_DOUBLES", 1)
-    assert np.array_equal(kernels.assemble_gram(tables, line, cfg), whole)
+    whole = kernels.assemble_gram(store, line, cfg)
+    for pairs in (1, 7):
+        monkeypatch.setattr(kernels, "_CHUNK_PAIRS", pairs)
+        assert np.array_equal(kernels.assemble_gram(store, line, cfg), whole)
+
+
+def test_assemble_rejects_counts_off_the_ground_line():
+    store = extract_all([LabeledGraph.build(2, [(0, 1)], weights=[1.0])], Filtration((1.0, 0.0)),
+                        1, LabelInterner())
+    with pytest.raises(ValueError, match="over 2 levels .* ground line of length 3"):
+        kernels.assemble_gram(store, GroundLine((2.0, 1.0, 0.0)), KernelConfig())

@@ -4,16 +4,15 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlfiltration import (
     Filtration,
-    FiltrationHistogram,
     LabelInterner,
     LabeledGraph,
-    dump_feature_table,
     extract_all,
     permute_graph,
     weight_triangles,
@@ -21,6 +20,7 @@ from wlfiltration import (
 from wlfiltration import wl
 
 from conftest import path3, prism_graph, random_graph
+from kernel_reference import FiltrationHistogram, dump_feature_table, tables_from
 from wl_reference import extract_all_reference, wl_refine
 
 
@@ -94,7 +94,7 @@ def test_interner_density_and_depth():
 
 def test_extract_single_edge_h0():
     g = LabeledGraph.build(2, [(0, 1)])
-    (table,) = extract_all([g], Filtration((0.0,)), 0, LabelInterner())
+    (table,) = tables_from(extract_all([g], Filtration((0.0,)), 0, LabelInterner()))
     assert len(table.features) == 1
     (hist,) = table.features.values()
     assert hist.counts == (2,)
@@ -104,7 +104,7 @@ def test_extract_single_edge_h0():
 def test_extract_path_two_levels():
     g = path3(2.0, 1.0)
     interner = LabelInterner()
-    (table,) = extract_all([g], Filtration((2.0, 1.0)), 1, interner)
+    (table,) = tables_from(extract_all([g], Filtration((2.0, 1.0)), 1, interner))
     by_counts = sorted(h.counts for h in table.features.values())
     # initial label [3,3]; endpoint-with-one-neighbor [2,2];
     # isolated vertex [1,0]; middle-with-two-neighbors [0,1]
@@ -125,7 +125,7 @@ def test_extract_mass_accounting():
                                   reverse=True)) or (0.0,)
         filt = Filtration(thresholds)
         h = rng.randint(0, 3)
-        (table,) = extract_all([g], filt, h, LabelInterner())
+        (table,) = tables_from(extract_all([g], filt, h, LabelInterner()))
         assert table.total_mass() == (h + 1) * len(filt) * g.n
         assert all(hist.mass >= 1 for hist in table.features.values())
 
@@ -139,7 +139,7 @@ def test_extract_permutation_invariance():
         rng.shuffle(perm)
         p = permute_graph(g, perm)
         filt = Filtration((2.0, 1.0))
-        t_g, t_p = extract_all([g, p], filt, 2, LabelInterner())
+        t_g, t_p = tables_from(extract_all([g, p], filt, 2, LabelInterner()))
         assert t_g == t_p
 
 
@@ -151,7 +151,7 @@ def test_extract_all_threaded_matches_sequential():
     seq_interner, par_interner = LabelInterner(), LabelInterner()
     sequential = extract_all(graphs, filt, 2, seq_interner, threads=1)
     parallel = extract_all(graphs, filt, 2, par_interner, threads=4)
-    assert sequential == parallel
+    assert tables_from(sequential) == tables_from(parallel)
     assert seq_interner.depth_of == par_interner.depth_of
 
 
@@ -167,7 +167,7 @@ def test_histogram_normalization():
 def test_dump_feature_table_golden():
     g = path3(2.0, 1.0)
     interner = LabelInterner()
-    (table,) = extract_all([g], Filtration((2.0, 1.0)), 1, interner)
+    (table,) = tables_from(extract_all([g], Filtration((2.0, 1.0)), 1, interner))
     assert dump_feature_table(table, interner) == (
         "0 0 3 3\n"
         "1 1 2 2\n"
@@ -205,6 +205,43 @@ _EMPTY = LabeledGraph.build(0, [])
 _ISOLATED = LabeledGraph.build(5, [(0, 1), (1, 2)], [0, 0, 0, 1, 1], [2**60 + 1, 2**60])
 
 
+def assert_store_invariants(store, num_graphs, k):
+    """Rows strictly sorted by (feature, graph), int64 columns, every mass >= 1."""
+    rows = len(store.graph)
+    assert store.num_graphs == num_graphs
+    assert store.counts.shape == (rows, k) and store.num_levels == k
+    assert len(store.feature) == rows
+    for column in (store.graph, store.feature, store.counts):
+        assert column.dtype == np.int64
+    assert np.all((store.graph >= 0) & (store.graph < num_graphs))
+    key = list(zip(store.feature.tolist(), store.graph.tolist()))
+    assert all(x < y for x, y in zip(key, key[1:]))
+    assert np.all(store.counts >= 0) and np.all(store.counts.sum(axis=1) >= 1)
+
+
+def test_feature_counts_invariants():
+    rng = random.Random(9)
+    graphs = [random_graph(rng, max_n=9, num_labels=3) for _ in range(15)]
+    graphs = [g.with_weights([rng.choice([0, 1, 2]) for _ in g.edges]) for g in graphs]
+    filt = Filtration((2.0, 1.0, 0.0))
+    store = extract_all(graphs, filt, 2, LabelInterner())
+    assert_store_invariants(store, 15, 3)
+    # every vertex carries one label per level and depth
+    assert store.counts.sum() == 3 * 3 * sum(g.n for g in graphs)
+
+    empty = extract_all([], Filtration((2.0, 1.0)), 2, LabelInterner())
+    assert_store_invariants(empty, 0, 2)
+    assert empty.counts.shape == (0, 2)
+
+    edgeless = [LabeledGraph.build(3, [], [0, 1, 0]), LabeledGraph.build(2, [], [1, 1])]
+    store = extract_all(edgeless, Filtration((0.0,)), 1, LabelInterner())
+    assert_store_invariants(store, 2, 1)
+    # labels 0, 1 and their depth-1 renamings 2, 3; only label 0 is missing from graph 1
+    assert store.feature.tolist() == [0, 1, 1, 2, 3, 3]
+    assert store.graph.tolist() == [0, 0, 1, 0, 0, 1]
+    assert store.counts[:, 0].tolist() == [2, 1, 2, 2, 1, 2]
+
+
 @pytest.mark.parametrize("cap", [1, 50, wl._BATCH_ENTRIES])
 @settings(max_examples=150, deadline=None)
 @given(data=_datasets(), h=st.integers(0, 4))
@@ -217,9 +254,10 @@ def test_extract_all_matches_reference(cap, data, h):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wl, "_BATCH_ENTRIES", cap)
         interner = LabelInterner()
-        tables = extract_all(graphs, filt, h, interner)
+        store = extract_all(graphs, filt, h, interner)
     reference = LabelInterner()
-    assert tables == extract_all_reference(graphs, filt, h, reference)
+    assert tables_from(store) == extract_all_reference(graphs, filt, h, reference)
+    assert_store_invariants(store, len(graphs), len(filt))
     assert list(interner.depth_of.items()) == list(reference.depth_of.items())
 
 

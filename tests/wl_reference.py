@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from wlfiltration import FeatureTable, Filtration, FiltrationHistogram, LabelInterner, LabeledGraph
+from wlfiltration import Filtration, LabelInterner, LabeledGraph
 from wlfiltration.filtration import filtration_graph
+
+from kernel_reference import FeatureTable, FiltrationHistogram
 
 
 def wl_refine(g: LabeledGraph, labels: Sequence[int], interner: LabelInterner) -> list[int]:
