@@ -15,7 +15,6 @@ from .filtration import (
     filtration_sequence,
     fit_thresholds,
     fit_thresholds_auto,
-    pooled_weights,
     reweight,
     weight_degree,
     weight_triangles,
@@ -28,7 +27,6 @@ from .graphs import (
     LabeledGraph,
     load_tud_dataset,
     permute_graph,
-    vertex_degree,
     write_tud_dataset,
 )
 from .kernels import (
@@ -36,7 +34,6 @@ from .kernels import (
     KernelConfig,
     build_filtration,
     gram_matrix,
-    gram_matrix_for_filtration,
     squared_kernel_distance,
 )
 from .transport import (
@@ -48,7 +45,7 @@ from .transport import (
 )
 from .wl import FeatureCounts, LabelInterner, extract_all
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "DatasetFormatError",
@@ -74,15 +71,12 @@ __all__ = [
     "generate_csl",
     "generate_csl_benchmark",
     "gram_matrix",
-    "gram_matrix_for_filtration",
     "load_manifest",
     "load_tud_dataset",
     "permute_graph",
-    "pooled_weights",
     "read_gram_csv",
     "reweight",
     "squared_kernel_distance",
-    "vertex_degree",
     "wasserstein_1d",
     "wasserstein_cdf_points",
     "wasserstein_matching",

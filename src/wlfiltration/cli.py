@@ -19,19 +19,13 @@ from .gram_io import (
     write_gram,
 )
 from .graphs import load_tud_dataset, write_tud_dataset
-from .kernels import (
-    KernelConfig,
-    build_filtration,
-    filtration_for_weights,
-    gram_matrix_for_filtration,
-    reweight_dataset,
-)
+from .kernels import KernelConfig, build_filtration, gram_matrix, reweight_dataset
 from .wl import LabelInterner, extract_all
 
 _VARIANT_FLAG = {"linear": "linear_combination", "product": "product"}
 
 
-def _parse_k(text: str) -> str:
+def _parse_k(text: str) -> int | str:
     if text == "auto":
         return text
     try:
@@ -40,7 +34,7 @@ def _parse_k(text: str) -> str:
         raise argparse.ArgumentTypeError(f"--k must be a positive integer or 'auto', got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"--k must be >= 1, got {value}")
-    return str(value)
+    return value
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -113,10 +107,8 @@ def run_compute(args: argparse.Namespace) -> RunManifest:
         variant=_VARIANT_FLAG[args.variant],
         normalize=args.normalize,
     )
-    weighted = reweight_dataset(dataset, spec)
-    native = WeightFunctionSpec()
-    filtration = build_filtration(weighted, native, args.k if args.k == "auto" else int(args.k))
-    matrix = gram_matrix_for_filtration(weighted, native, filtration, config, threads=args.threads)
+    matrix = gram_matrix(dataset, spec, args.k, config)
+    filtration = matrix.filtration
     ensure_parent_dir(args.out)
     write_gram(matrix, args.format, args.out)
     elapsed = time.perf_counter() - started
@@ -126,7 +118,7 @@ def run_compute(args: argparse.Namespace) -> RunManifest:
         dataset_name=args.name,
         weights=args.weights,
         walk_length=args.walk_length,
-        k=args.k,
+        k=str(args.k),
         h=args.h,
         gamma=args.gamma,
         beta=args.beta,
@@ -154,7 +146,7 @@ def replay(manifest_file: str) -> RunManifest:
         name=m.dataset_name,
         weights=m.weights,
         walk_length=m.walk_length,
-        k=m.k,
+        k=_parse_k(m.k),
         h=m.h,
         gamma=m.gamma,
         beta=m.beta,
@@ -181,9 +173,9 @@ def run_csl(args: argparse.Namespace) -> None:
 def run_inspect(args: argparse.Namespace) -> None:
     dataset = load_tud_dataset(args.dataset, args.name)
     spec = WeightFunctionSpec(kind=args.weights, walk_length=args.walk_length)
-    weighted = reweight_dataset(dataset, spec).graphs
-    pooled = sorted(w for g in weighted for w in g.weights)
-    filtration = filtration_for_weights(pooled, args.k)
+    weighted = reweight_dataset(dataset, spec)
+    filtration = build_filtration(weighted, WeightFunctionSpec(), args.k)
+    pooled = sorted(w for g in weighted.graphs for w in g.weights)
     print(f"graphs: {len(dataset)}")
     print(f"thresholds (k={len(filtration)}): " + " ".join(str(t) for t in filtration.thresholds))
 
@@ -194,7 +186,7 @@ def run_inspect(args: argparse.Namespace) -> None:
         print(f"level {level}: alpha={alpha} edges={edges}")
 
     interner = LabelInterner()
-    store = extract_all(weighted, filtration, args.h, interner)
+    store = extract_all(weighted.graphs, filtration, args.h, interner)
     sizes = np.bincount(store.graph, minlength=store.num_graphs)
     print(f"features: {len(interner)} distinct labels")
     print(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -235,11 +235,3 @@ def filtration_graph(g: LabeledGraph, alpha: float) -> LabeledGraph:
 def filtration_sequence(g: LabeledGraph, filtration: Filtration) -> list[LabeledGraph]:
     """The nested graphs G_1 ⊆ ... ⊆ G_k for g under the given thresholds."""
     return [filtration_graph(g, alpha) for alpha in filtration.thresholds]
-
-
-def pooled_weights(graphs: Sequence[LabeledGraph], spec: WeightFunctionSpec) -> list[float]:
-    """Edge-weight multiset of a whole dataset under one weight function."""
-    pooled: list[float] = []
-    for g in graphs:
-        pooled.extend(compute_weights(g, spec))
-    return pooled

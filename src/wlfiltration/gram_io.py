@@ -30,7 +30,7 @@ def write_gram(matrix: GramMatrix, fmt: str, path: str) -> None:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     values = matrix.values
-    n = matrix.size
+    n = len(values)
     lines = []
     if fmt == "csv":
         for i in range(n):

@@ -98,19 +98,9 @@ class LabeledGraph:
             raise ValueError(f"vertex {v} out of range for graph on {self.n} vertices")
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for graph on {self.n} vertices")
-        return self.adjacency[v]
-
     def with_weights(self, weights: Sequence[float]) -> "LabeledGraph":
         """Same structure and labels, new per-edge weights (aligned with `edges`)."""
         return LabeledGraph(self.n, self.edges, self.labels, tuple(weights))
-
-
-def vertex_degree(g: LabeledGraph, v: int) -> int:
-    """Number of neighbors of v; raises on out-of-range vertex."""
-    return g.degree(v)
 
 
 def permute_graph(g: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:

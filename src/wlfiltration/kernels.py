@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .filtration import (
     Filtration,
     WeightFunctionSpec,
+    compute_weights,
     fit_thresholds,
     fit_thresholds_auto,
-    pooled_weights,
     reweight,
 )
 from .graphs import GraphDataset
@@ -40,25 +40,24 @@ class KernelConfig:
     def __post_init__(self):
         if self.h < 0:
             raise ValueError("h must be >= 0")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.variant == "product" and self.beta <= 0:
-            raise ValueError("beta must be positive for the product variant")
+        if self.variant == "product" and not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(
+                f"beta must be positive and finite for the product variant, got {self.beta}"
+            )
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Pairwise kernel values over a dataset, with the class labels riding along."""
+    """Pairwise kernel values over a dataset, with the class labels and the
+    thresholds they were computed over riding along."""
 
     values: np.ndarray
-    graph_ids: tuple[int, ...]
     class_labels: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.graph_ids)
+    filtration: Filtration
 
 
 # Pair chunk of the assembly: a chunk's index and pairs x (k-1) distance
@@ -140,30 +139,48 @@ def squared_kernel_distance(values: np.ndarray, i: int, j: int) -> float:
 def gram_matrix(
     dataset: GraphDataset,
     spec: WeightFunctionSpec,
-    k: int | str,
+    k: int | str | Filtration,
     config: KernelConfig,
-    threads: int = 1,
 ) -> GramMatrix:
     """Full pipeline: weights, shared thresholds, feature counts, kernel matrix.
 
-    `k` is the filtration length, or the string 'auto' for one threshold per
-    distinct pooled edge weight. Cosine normalization rescales to unit
-    diagonal when requested. `threads` is accepted for compatibility and
-    ignored.
+    `k` is the filtration length, the string 'auto' for one threshold per
+    distinct pooled edge weight, or a `Filtration` to use as it is. The
+    weights are computed once and passed on with the native spec. Cosine
+    normalization rescales to unit diagonal when requested.
     """
     weighted = reweight_dataset(dataset, spec)
     native = WeightFunctionSpec()
-    filtration = build_filtration(weighted, native, k)
-    return gram_matrix_for_filtration(weighted, native, filtration, config, threads=threads)
+    filtration = k if isinstance(k, Filtration) else build_filtration(weighted, native, k)
+    return gram_matrix_for_filtration(weighted, native, filtration, config)
 
 
 def reweight_dataset(dataset: GraphDataset, spec: WeightFunctionSpec) -> GraphDataset:
-    """The dataset with every graph carrying the weights computed by `spec`.
-
-    Computing the weights once and passing the result on with the native
-    spec spares `build_filtration` and `gram_matrix_for_filtration` a pass each.
-    """
+    """The dataset with every graph carrying the weights computed by `spec`."""
     return replace(dataset, graphs=tuple(reweight(g, spec) for g in dataset.graphs))
+
+
+def build_filtration(
+    dataset: GraphDataset, spec: WeightFunctionSpec, k: int | str
+) -> Filtration:
+    """Shared thresholds fitted to the dataset's pooled edge weights under `spec`.
+
+    `k` is the filtration length or 'auto'. A dataset without edges gets the
+    single level (0.0,), under which the kernel is the WL label histogram
+    kernel.
+    """
+    if k != "auto" and k < 1:
+        raise ValueError("k must be >= 1")
+    pooled: list[float] = []
+    for g in dataset.graphs:
+        pooled.extend(compute_weights(g, spec))
+    if not pooled:
+        if k != "auto" and k > 1:
+            warnings.warn(
+                f"no edge weights; filtration length reduced from {k} to 1", stacklevel=2
+            )
+        return Filtration((0.0,))
+    return fit_thresholds_auto(pooled) if k == "auto" else fit_thresholds(pooled, k)
 
 
 def gram_matrix_for_filtration(
@@ -171,13 +188,11 @@ def gram_matrix_for_filtration(
     spec: WeightFunctionSpec,
     filtration: Filtration,
     config: KernelConfig,
-    threads: int = 1,
 ) -> GramMatrix:
-    """Kernel matrix over an explicitly supplied threshold sequence.
+    """The kernel matrix of `gram_matrix` over a given threshold sequence.
 
     The thresholds are the ground line as they are, so the gaps between
     integer thresholds are exact differences before they become floats.
-    `threads` is accepted for compatibility and ignored.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -196,31 +211,4 @@ def gram_matrix_for_filtration(
         values = values * np.outer(scale, scale)
         np.fill_diagonal(values, 1.0)
 
-    return GramMatrix(
-        values=values,
-        graph_ids=tuple(range(len(weighted))),
-        class_labels=dataset.class_labels,
-    )
-
-
-def filtration_for_weights(pooled: Sequence[float], k: int | str) -> Filtration:
-    """Shared thresholds fitted to a pooled edge-weight multiset.
-
-    `k` is the filtration length or 'auto'. A dataset without edges gets the
-    single level (0.0,), under which the kernel is the WL label histogram
-    kernel.
-    """
-    if not pooled:
-        if k != "auto" and int(k) > 1:
-            warnings.warn(
-                f"no edge weights; filtration length reduced from {k} to 1", stacklevel=2
-            )
-        return Filtration((0.0,))
-    return fit_thresholds_auto(pooled) if k == "auto" else fit_thresholds(pooled, int(k))
-
-
-def build_filtration(
-    dataset: GraphDataset, spec: WeightFunctionSpec, k: int | str
-) -> Filtration:
-    """The shared threshold sequence a `gram_matrix` call would use."""
-    return filtration_for_weights(pooled_weights(dataset.graphs, spec), k)
+    return GramMatrix(values, dataset.class_labels, filtration)

@@ -20,7 +20,6 @@ from wlfiltration import (
     KernelConfig,
     LabelInterner,
     WeightFunctionSpec,
-    build_filtration,
     extract_all,
     generate_csl_benchmark,
     gram_matrix,
@@ -32,7 +31,6 @@ from wlfiltration import (
     write_gram,
 )
 from wlfiltration.cli import main as cli_main
-from wlfiltration.kernels import gram_matrix_for_filtration
 
 from conftest import k33_graph, prism_graph, random_dataset, random_graph
 from kernel_reference import (
@@ -169,18 +167,16 @@ def test_criterion_6_csl_distinguishability():
     ).values
     separated_l1 = sum(1 for i, j in pairs if squared_kernel_distance(K1, i, j) != 0.0)
 
-    spec7 = WeightFunctionSpec("walks", walk_length=7)
-    filtration7 = build_filtration(ds, spec7, "auto")
-    K7 = gram_matrix_for_filtration(
-        ds, spec7, filtration7, KernelConfig(h=2, gamma=1.0)
-    ).values
-    separated_l7 = sum(1 for i, j in pairs if squared_kernel_distance(K7, i, j) > 1e-6)
+    K7 = gram_matrix(
+        ds, WeightFunctionSpec("walks", walk_length=7), "auto", KernelConfig(h=2, gamma=1.0)
+    )
+    separated_l7 = sum(1 for i, j in pairs if squared_kernel_distance(K7.values, i, j) > 1e-6)
     elapsed = time.perf_counter() - started
 
-    ok = separated_l1 == 0 and separated_l7 == 45 and len(filtration7) == 18 and elapsed < 120
+    ok = separated_l1 == 0 and separated_l7 == 45 and len(K7.filtration) == 18 and elapsed < 120
     report(6, ok, (
         f"CSL classes: walk bound 1 separates {separated_l1}/45 pairs, walk bound 7 "
-        f"separates {separated_l7}/45 with k={len(filtration7)} ({elapsed:.2f} s)"
+        f"separates {separated_l7}/45 with k={len(K7.filtration)} ({elapsed:.2f} s)"
     ))
 
 

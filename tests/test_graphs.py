@@ -11,7 +11,6 @@ from wlfiltration import (
     LabeledGraph,
     load_tud_dataset,
     permute_graph,
-    vertex_degree,
     write_tud_dataset,
 )
 from wlfiltration.csl import csl_graph
@@ -61,12 +60,12 @@ def test_adjacency_sorted_and_degree_sum():
 
 def test_vertex_degree_examples():
     isolated = LabeledGraph.build(1, [])
-    assert vertex_degree(isolated, 0) == 0
-    assert vertex_degree(path3(), 1) == 2
+    assert isolated.degree(0) == 0
+    assert path3().degree(1) == 2
     g = csl_graph(41, 2)
-    assert all(vertex_degree(g, v) == 4 for v in range(41))
+    assert all(g.degree(v) == 4 for v in range(41))
     with pytest.raises(ValueError, match="out of range"):
-        vertex_degree(isolated, 1)
+        isolated.degree(1)
 
 
 def test_permute_identity_and_reversal():

@@ -159,6 +159,17 @@ def test_cli_rejects_k_zero(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [["--gamma", "inf"], ["--gamma", "nan"],
+                                   ["--variant", "product", "--beta", "inf"]])
+def test_cli_rejects_non_finite_decays(tmp_path, mini_tud_dir, capsys, flags):
+    out = tmp_path / "o.csv"
+    code = _run_cli("compute", "--dataset", mini_tud_dir, "--name", "MINI20", *flags,
+                    "--out", str(out))
+    assert code == 1
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_errors_exit_nonzero(tmp_path, capsys):
     code = _run_cli("compute", "--dataset", str(tmp_path / "missing"), "--name", "X",
                     "--out", str(tmp_path / "o.csv"))

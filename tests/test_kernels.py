@@ -21,7 +21,6 @@ from wlfiltration import (
     extract_all,
     fit_thresholds_auto,
     gram_matrix,
-    gram_matrix_for_filtration,
     permute_graph,
     reweight,
     squared_kernel_distance,
@@ -53,6 +52,13 @@ def test_kernel_config_validation():
     with pytest.raises(ValueError):
         KernelConfig(variant="product", beta=0.0)
     KernelConfig(variant="linear_combination", beta=0.0)  # beta unused here
+    # exp(-inf * 0) is NaN, so a non-finite decay would write NaN entries
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            KernelConfig(gamma=bad)
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            KernelConfig(variant="product", beta=bad)
+        KernelConfig(beta=bad)
 
 
 def test_filtration_pair_disjoint_features_is_zero():
@@ -207,13 +213,26 @@ def test_edgeless_dataset_gives_histogram_kernel():
         assert np.array_equal(K, want)
 
 
-def test_gram_threads_match_sequential():
-    ds = random_dataset(16, 10, max_n=9)
-    cfg = KernelConfig(h=2, gamma=1.0)
-    spec = WeightFunctionSpec("walks", walk_length=2)
-    K1 = gram_matrix(ds, spec, 3, cfg, threads=1).values
-    K4 = gram_matrix(ds, spec, 3, cfg, threads=4).values
-    assert np.array_equal(K1, K4)
+@pytest.mark.parametrize("k", [0, -3])
+def test_build_filtration_rejects_k_below_one_with_or_without_edges(k):
+    edgeless = GraphDataset((LabeledGraph.build(3, []),), (0,))
+    with_edges = GraphDataset((LabeledGraph.build(3, [(0, 1)]),), (0,))
+    for ds in (edgeless, with_edges):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            build_filtration(ds, WeightFunctionSpec("degree"), k)
+
+
+@pytest.mark.parametrize("k", [1, 3, "auto"])
+def test_gram_matrix_takes_a_filtration_as_k(k):
+    ds = random_dataset(18, 8, max_n=8)
+    spec, cfg = WeightFunctionSpec("walks", walk_length=3), KernelConfig(h=2, gamma=0.6)
+    fitted = gram_matrix(ds, spec, k, cfg)
+    filt = build_filtration(ds, spec, k)
+    assert fitted.filtration == filt
+    given = gram_matrix(ds, spec, filt, cfg)
+    assert given.filtration is filt
+    assert np.array_equal(given.values, fitted.values)
+    assert given.class_labels == fitted.class_labels == ds.class_labels
 
 
 def test_triangle_filtration_separates_witness_pair():
@@ -245,22 +264,25 @@ def test_integer_thresholds_keep_exact_gaps():
     filt = fit_thresholds_auto([2**60, 2**60 + 1, 2**60 + 2, 5])
     assert GroundLine(filt.thresholds).gaps == (1, 1, 2**60 - 5)
     ds = GraphDataset((a, b), (0, 1))
-    K = gram_matrix_for_filtration(ds, WeightFunctionSpec(), filt, KernelConfig(h=1)).values
+    K = gram_matrix(ds, WeightFunctionSpec(), filt, KernelConfig(h=1)).values
     assert squared_kernel_distance(K, 0, 1) > 0.1
 
 
-def test_gram_threads_match_on_reversed_cube():
-    # The cube and its vertex-reversed copy: a worker's local neighbour ids
-    # sort differently from the global ones, so the depth-2 labels must be
-    # re-sorted when a worker's interner is merged.
+def test_gram_on_reversed_cube_matches_oracle():
+    # The cube and its vertex-reversed copy list neighbours in opposite
+    # orders, so their depth-2 labels agree only if signatures sort the
+    # neighbour labels.
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7),
              (0, 4), (1, 5), (2, 6), (3, 7)]
     cube = LabeledGraph.build(8, edges, [1, 1, 2, 0, 2, 0, 1, 0])
     ds = GraphDataset((cube, permute_graph(cube, list(range(7, -1, -1)))), (0, 1))
     spec, cfg = WeightFunctionSpec("degree"), KernelConfig(h=2)
-    K1 = gram_matrix(ds, spec, 1, cfg, threads=1).values
-    K2 = gram_matrix(ds, spec, 1, cfg, threads=2).values
-    assert np.array_equal(K1, K2)
+    filt = build_filtration(ds, spec, 1)
+    weighted = [reweight(g, spec) for g in ds.graphs]
+    tables = tables_from(extract_all(weighted, filt, 2, LabelInterner()))
+    K = gram_matrix(ds, spec, 1, cfg).values
+    expected = oracle_gram(tables, GroundLine(filt.thresholds), cfg)
+    np.testing.assert_allclose(K, expected, rtol=1e-12, atol=0)
 
 
 def oracle_gram(tables, line, config):
@@ -312,7 +334,6 @@ def test_gram_matches_pair_oracles(variant, k, h, normalize, seed):
     expected = oracle_gram(tables, GroundLine(filt.thresholds), cfg)
     np.testing.assert_allclose(K, expected, rtol=1e-12, atol=0)
     assert np.array_equal(K, K.T)
-    assert np.array_equal(K, gram_matrix(ds, spec, k, cfg, threads=2).values)
 
 
 @pytest.mark.parametrize("variant", ["linear_combination", "product"])
