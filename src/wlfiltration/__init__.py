@@ -45,7 +45,7 @@ from .transport import (
 )
 from .wl import FeatureCounts, LabelInterner, extract_all
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "DatasetFormatError",

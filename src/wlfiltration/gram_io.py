@@ -26,22 +26,30 @@ def write_gram(matrix: GramMatrix, fmt: str, path: str) -> None:
     csv: one row per line, comma-separated. libsvm: the precomputed-kernel
     convention `<class> 0:<row> 1:K(i,1) ... n:K(i,n)` with 1-based indices,
     ready for an SVM with a precomputed-kernel interface.
+
+    Each distinct value is formatted once, keyed by its bit pattern (so
+    -0.0 and 0.0 stay apart), and the rows are gathered from those strings
+    and written one at a time.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    values = matrix.values
+    values = np.ascontiguousarray(matrix.values, dtype=np.float64)
     n = len(values)
-    lines = []
-    if fmt == "csv":
-        for i in range(n):
-            lines.append(",".join(_fmt(values[i, j]) for j in range(n)))
-    else:
-        for i in range(n):
-            fields = [str(matrix.class_labels[i]), f"0:{i + 1}"]
-            fields += [f"{j + 1}:{_fmt(values[i, j])}" for j in range(n)]
-            lines.append(" ".join(fields))
+    bits, which = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.fromiter(map(_fmt, bits.view(np.float64)), dtype=object, count=len(bits))
+    del bits
+    which = which.reshape(n, n)
+    if fmt == "libsvm":
+        columns = np.array([f"{j + 1}:" for j in range(n)], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for i in range(n):
+            if fmt == "csv":
+                fh.write(",".join(text[which[i]]) + "\n")
+            else:
+                fh.write(f"{matrix.class_labels[i]} 0:{i + 1} "
+                         + " ".join(columns + text[which[i]]) + "\n")
+        if n == 0:
+            fh.write("\n")
 
 
 def read_gram_csv(path: str) -> np.ndarray:

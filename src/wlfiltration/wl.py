@@ -73,9 +73,9 @@ class FeatureCounts:
         return self.counts.shape[1]
 
 
-# Size of one batch of consecutive graphs, counted as 2*m*k arc plus n*k
-# vertex entries of their level copies: the union's index arrays stay this
-# small however large the dataset. A graph larger than this is a batch alone.
+# Size of one batch of consecutive graphs, counted as 2*m + n arc and vertex
+# entries per refined level copy: the union's index arrays stay this small
+# however large the dataset. A graph larger than this is a batch alone.
 _BATCH_ENTRIES = 1 << 13
 
 
@@ -95,7 +95,12 @@ def extract_all(
     sorted initial alphabet first, then each refined label at its first
     occurrence in that order.
 
-    The level copies of a batch of consecutive graphs are refined together
+    The filtration graphs are nested, so a level that adds no edge to a graph
+    has the labels of the level before it. Only level 0 and the levels where
+    some edge of the graph first appears are refined; the counts of the
+    others are copied from the last refined level below them. A repeated
+    level interns nothing new, so skipping it leaves the ids as they are.
+    The refined copies of a batch of consecutive graphs are refined together
     as one disjoint union with array passes (see `_refine_batch`), so the
     Python work is per distinct label per batch. `threads` is accepted for
     compatibility and ignored; the result never depended on it.
@@ -123,13 +128,21 @@ def extract_all(
                        dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
     # An edge is on level i iff weight >= thresholds[i], i.e. from the level
     # after the last threshold above it; Python comparisons keep this exact
-    # for integers above 2**53.
+    # for integers above 2**53. An edge below the last threshold gets k and
+    # is on no level.
     first = np.fromiter((k - bisect.bisect_right(ascending, w) for g in graphs for w in g.weights),
                         dtype=np.int64, count=int(m.sum()))
+    # refined[g, i]: level i of graph g differs from level i - 1 (level 0
+    # always counts); source[g, i]: the last refined level at or below i
+    refined = np.zeros((len(graphs), k), dtype=bool)
+    refined[:, 0] = True
+    on_levels = first < k
+    refined[np.repeat(np.arange(len(graphs)), m)[on_levels], first[on_levels]] = True
+    source = np.maximum.accumulate(np.where(refined, np.arange(k), 0), axis=1)
 
     empty = np.empty(0, dtype=np.int64)
     parts = [(empty, empty, np.empty((0, k), dtype=np.int64))]
-    cost = (2 * m + n) * k
+    cost = (2 * m + n) * refined.sum(axis=1)
     lo = 0
     while lo < len(graphs):
         hi, total = lo + 1, cost[lo]
@@ -139,7 +152,9 @@ def extract_all(
         v0, v1 = vertex_end[lo] - n[lo], vertex_end[hi - 1]
         e0, e1 = edge_end[lo] - m[lo], edge_end[hi - 1]
         graph, fid, counts = _refine_batch(n[lo:hi], m[lo:hi], labels0[v0:v1], ends[e0:e1],
-                                           first[e0:e1], k, h, interner, id_objects)
+                                           first[e0:e1], refined[lo:hi], h, interner,
+                                           id_objects)
+        counts = np.take_along_axis(counts, source[lo:hi][graph], axis=1)
         parts.append((graph + lo, fid, counts))
         lo = hi
     graph, feature, counts = map(np.concatenate, zip(*parts))
@@ -154,17 +169,20 @@ def _refine_batch(
     labels0: np.ndarray,
     ends: np.ndarray,
     first: np.ndarray,
-    k: int,
+    refined: np.ndarray,
     h: int,
     interner: LabelInterner,
     id_objects: list[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """WL labels of every level copy of a few graphs; (graph, feature, counts) rows.
+    """WL labels of the refined level copies of a few graphs; (graph, feature, counts) rows.
 
     `n`/`m` are the graphs' vertex and edge counts, `labels0` their initial
     ids, `ends` their edges (graph-local endpoints) and `first` each edge's
-    first level. Copy c = graph * k + level holds the graph's vertices and
-    the edges of that level. The ids this interns are appended to
+    first level (k: on no level). `refined` is a (graphs, k) mask of the
+    level copies to refine, level 0 of every graph among them. The copies are
+    numbered in (graph, level) order; each holds its graph's vertices and the
+    edges of its level. Counts land in the column of the copy's level and
+    the other columns stay 0. The ids this interns are appended to
     `id_objects`.
 
     One round sorts the arcs by (source, neighbour label) and builds each
@@ -177,7 +195,9 @@ def _refine_batch(
     (graph, level, round, vertex), the order a vertex-by-vertex pass would
     intern them in.
     """
-    size = np.repeat(n, k)
+    k = refined.shape[1]
+    copy_graph, copy_level = np.nonzero(refined)
+    size = n[copy_graph]
     copy_start = np.cumsum(size) - size
     total = int(size.sum())
     if total == 0:
@@ -186,15 +206,19 @@ def _refine_batch(
     copy_of = np.repeat(np.arange(len(size)), size)
     local = np.arange(total) - copy_start[copy_of]
     labels = np.empty((h + 1, total), dtype=np.int64)
-    labels[0] = labels0[(np.cumsum(n) - n)[copy_of // k] + local]
+    labels[0] = labels0[(np.cumsum(n) - n)[copy_graph[copy_of]] + local]
 
     if h:
-        # one copy of each edge on each level from its first one on
-        present = k - first
-        edge = np.repeat(np.arange(len(first)), present)
+        # an edge is in the copy of its first level (refined by definition)
+        # and in every later copy of its graph
+        live = first < k
+        edge_graph = np.repeat(np.arange(len(n)), m)[live]
+        copy_id = np.cumsum(refined.ravel()).reshape(refined.shape) - 1
+        start_copy = copy_id[edge_graph, first[live]]
+        present = copy_id[edge_graph, -1] - start_copy + 1
+        edge = np.repeat(np.flatnonzero(live), present)
         run_start = np.repeat(np.cumsum(present) - present, present)
-        level = first[edge] + np.arange(len(edge)) - run_start
-        offset = copy_start[np.repeat(np.arange(len(n)), m)[edge] * k + level]
+        offset = copy_start[np.repeat(start_copy, present) + np.arange(len(edge)) - run_start]
         u = offset + ends[edge, 0]
         v = offset + ends[edge, 1]
         src = np.concatenate((u, v))
@@ -258,13 +282,14 @@ def _refine_batch(
                 neigh.sort()
             final[t] = interner.refined_id(prev, tuple(neigh))
             id_objects.append(final[t])
-        refined = labels[1:]
-        temporary = refined >= base
-        refined[temporary] = np.array(final, dtype=np.int64)[refined[temporary] - base]
+        deeper = labels[1:]
+        temporary = deeper >= base
+        deeper[temporary] = np.array(final, dtype=np.int64)[deeper[temporary] - base]
 
     width = len(interner)
-    pair = ((copy_of // k) * width + labels).ravel()
+    pair = (copy_graph[copy_of] * width + labels).ravel()
     pairs, inverse = np.unique(pair, return_inverse=True)
-    counts = np.bincount(inverse * k + np.tile(copy_of % k, h + 1), minlength=len(pairs) * k)
+    counts = np.bincount(inverse * k + np.tile(copy_level[copy_of], h + 1),
+                         minlength=len(pairs) * k)
     return pairs // width, pairs % width, counts.reshape(-1, k)
 

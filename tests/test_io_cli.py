@@ -19,7 +19,7 @@ from wlfiltration import (
     write_tud_dataset,
 )
 from wlfiltration.cli import main, replay
-from wlfiltration.gram_io import manifest_path_for
+from wlfiltration.gram_io import _fmt, manifest_path_for
 
 from conftest import random_dataset
 
@@ -62,6 +62,24 @@ def test_libsvm_field_layout(tmp_path):
         assert colon_fields[0] == f"0:{i + 1}"
         value = float(colon_fields[2].split(":", 1)[1])
         assert value == matrix.values[i, 1]
+
+
+def test_write_gram_matches_per_entry_format(tmp_path):
+    # signed zeros, a NaN, an infinity, the smallest subnormal, a huge value
+    # and repeats; each distinct bit pattern is formatted once
+    special = [0.0, -0.0, np.nan, np.inf, 5e-324, 1e300, 1.0 / 3.0]
+    values = np.array(special * 7).reshape(7, 7)
+    values[2, 3] = values[5, 1] = -0.0
+    matrix = GramMatrix(values, (1, 0, 1, 1, 0, 0, 1), (1.0,))
+    csv = "".join(",".join(_fmt(x) for x in row) + "\n" for row in values)
+    libsvm = "".join(
+        " ".join([f"{c} 0:{i + 1}"] + [f"{j + 1}:{_fmt(x)}" for j, x in enumerate(row)]) + "\n"
+        for i, (c, row) in enumerate(zip(matrix.class_labels, values)))
+    for fmt, want in (("csv", csv), ("libsvm", libsvm)):
+        path = tmp_path / f"gram.{fmt}"
+        write_gram(matrix, fmt, str(path))
+        assert path.read_text(encoding="utf-8") == want
+    assert "-0.0" in csv and "nan" in csv and "inf" in csv
 
 
 def test_write_gram_rejects_unknown_format(tmp_path):

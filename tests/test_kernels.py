@@ -180,6 +180,16 @@ def test_gram_symmetric_psd(variant):
     assert np.linalg.eigvalsh(K).min() >= -1e-8 * np.trace(K)
 
 
+@pytest.mark.xfail(strict=True, reason="product variant is not PSD at small beta: a feature "
+                   "one graph lacks gets base factor 1, i.e. W1 = 0 to every histogram")
+def test_product_gram_psd_at_small_beta():
+    # criterion 4's dataset; the minimum eigenvalue is about -0.133 at trace 30
+    ds = random_dataset(104, 30, max_n=10)
+    cfg = KernelConfig(h=2, gamma=1.0, beta=0.005, variant="product")
+    K = gram_matrix(ds, WeightFunctionSpec("degree"), 3, cfg).values
+    assert np.linalg.eigvalsh(K).min() >= -1e-8 * np.trace(K)
+
+
 def test_gram_normalized_unit_diagonal():
     ds = random_dataset(15, 8, max_n=8)
     cfg = KernelConfig(h=1, gamma=0.5, normalize=True)

@@ -1,5 +1,6 @@
 """Label refinement, interning, and filtration-histogram extraction."""
 
+import bisect
 import itertools
 import random
 from collections import Counter
@@ -13,11 +14,15 @@ from wlfiltration import (
     Filtration,
     LabelInterner,
     LabeledGraph,
+    WeightFunctionSpec,
+    build_filtration,
     extract_all,
+    generate_csl_benchmark,
     permute_graph,
     weight_triangles,
 )
 from wlfiltration import wl
+from wlfiltration.kernels import reweight_dataset
 
 from conftest import path3, prism_graph, random_graph
 from kernel_reference import FiltrationHistogram, dump_feature_table, tables_from
@@ -203,6 +208,12 @@ def _datasets(draw):
 _EDGELESS = LabeledGraph.build(4, [], [2, 0, 2, 1])
 _EMPTY = LabeledGraph.build(0, [])
 _ISOLATED = LabeledGraph.build(5, [(0, 1), (1, 2)], [0, 0, 0, 1, 1], [2**60 + 1, 2**60])
+# weights 3, 1 and 0: under thresholds (3, 2, 1) level 1 adds no edge and the
+# weight-0 edge is on no level
+_SPARSE_LEVELS = LabeledGraph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
+                                    [0, 1, 0, 1, 2], [3, 1, 0, 3, 1])
+# every edge on level 0 when the first threshold is 3
+_TOP_LEVEL = LabeledGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 2)], [1, 0, 0, 1], [3, 3, 3, 3])
 
 
 def assert_store_invariants(store, num_graphs, k):
@@ -249,6 +260,10 @@ def test_feature_counts_invariants():
 @example(data=([_EMPTY], Filtration((1, 0))), h=3)
 @example(data=([_ISOLATED], Filtration((2**60,))), h=4)
 @example(data=([_EDGELESS, _EMPTY, _ISOLATED, _EDGELESS], Filtration((2**60 + 1, 2**60))), h=4)
+@example(data=([_SPARSE_LEVELS, _TOP_LEVEL], Filtration((3, 2, 1))), h=2)
+@example(data=([_TOP_LEVEL, _SPARSE_LEVELS], Filtration((4, 3, 2))), h=3)
+@example(data=([_TOP_LEVEL], Filtration((3, 1, 0))), h=2)
+@example(data=([_EDGELESS, _SPARSE_LEVELS, _EDGELESS, _TOP_LEVEL], Filtration((3, 1, 0))), h=2)
 def test_extract_all_matches_reference(cap, data, h):
     graphs, filt = data
     with pytest.MonkeyPatch.context() as mp:
@@ -259,6 +274,28 @@ def test_extract_all_matches_reference(cap, data, h):
     assert tables_from(store) == extract_all_reference(graphs, filt, h, reference)
     assert_store_invariants(store, len(graphs), len(filt))
     assert list(interner.depth_of.items()) == list(reference.depth_of.items())
+
+
+def test_extract_all_refines_only_levels_that_add_an_edge(monkeypatch):
+    # CSL-10 under walk weights: each graph's edges share few distinct levels
+    dataset = reweight_dataset(generate_csl_benchmark(copies=1, seed=0),
+                               WeightFunctionSpec("walks", walk_length=7))
+    filt = build_filtration(dataset, WeightFunctionSpec(), "auto")
+    k = len(filt)
+    ascending = filt.thresholds[::-1]
+    want = sum(len(({0} | {k - bisect.bisect_right(ascending, w) for w in g.weights}) - {k})
+               for g in dataset.graphs)
+    refined = []
+    refine_batch = wl._refine_batch
+
+    def counting(n, m, labels0, ends, first, mask, *rest):
+        refined.append(int(mask.sum()))
+        return refine_batch(n, m, labels0, ends, first, mask, *rest)
+
+    monkeypatch.setattr(wl, "_refine_batch", counting)
+    store = extract_all(dataset.graphs, filt, 2, LabelInterner())
+    assert sum(refined) == want < len(dataset) * k
+    assert tables_from(store) == extract_all_reference(dataset.graphs, filt, 2, LabelInterner())
 
 
 def test_extract_all_rejects_used_interner():
