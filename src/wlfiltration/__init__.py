@@ -11,6 +11,7 @@ from .filtration import (
     Filtration,
     WeightFunctionSpec,
     compute_weights,
+    dataset_weights,
     filtration_graph,
     filtration_sequence,
     fit_thresholds,
@@ -45,7 +46,7 @@ from .transport import (
 )
 from .wl import FeatureCounts, LabelInterner, extract_all
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "DatasetFormatError",
@@ -63,6 +64,7 @@ __all__ = [
     "build_filtration",
     "compute_weights",
     "csl_graph",
+    "dataset_weights",
     "extract_all",
     "filtration_graph",
     "filtration_sequence",

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -136,13 +137,93 @@ def _walk_totals(g: LabeledGraph, walk_length: int) -> list[int]:
 
 def compute_weights(g: LabeledGraph, spec: WeightFunctionSpec) -> tuple[float, ...]:
     """Edge-weight assignment for g under the chosen weight function."""
+    return dataset_weights((g,), spec)[0]
+
+
+def dataset_weights(
+    graphs: Sequence[LabeledGraph], spec: WeightFunctionSpec
+) -> list[tuple[float, ...]]:
+    """`compute_weights` of every graph, computed over the whole dataset at once.
+
+    Degrees come from one bincount. Walk and triangle counts come from
+    `_batched_walk_totals`. The weights are Python numbers, equal in value
+    and type to the per-graph functions'.
+    """
     if spec.kind == "native":
-        return g.weights
+        return [g.weights for g in graphs]
+    m = [g.edge_count for g in graphs]
+    ends = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs)),
+        dtype=np.intp, count=2 * sum(m),
+    ).reshape(-1, 2)
+    n = np.array([g.n for g in graphs], dtype=np.intp)
+    # endpoints as dataset-wide vertex ids
+    glob = ends + np.repeat(np.cumsum(n) - n, m)[:, None]
+    deg = np.bincount(glob.reshape(-1), minlength=int(n.sum()))
     if spec.kind == "degree":
-        return weight_degree(g)
-    if spec.kind == "triangles":
-        return weight_triangles(g)
-    return weight_walks(g, spec.walk_length)
+        flat = deg[glob].max(axis=1).tolist()
+    elif spec.kind == "triangles":
+        # A[u,v] = 1 on an edge, so the two-step total is one more than the
+        # number of common neighbours
+        flat = [w - 1 for w in _batched_walk_totals(graphs, ends, m, n, deg, 2)]
+    else:
+        flat = _batched_walk_totals(graphs, ends, m, n, deg, spec.walk_length)
+    out, at = [], 0
+    for count in m:
+        out.append(tuple(flat[at:at + count]))
+        at += count
+    return out
+
+
+# Padded (graphs, N, N) blocks of the batched walk pass hold at most this
+# many entries; a graph with n * n above it is counted by `_walk_totals`.
+_WALK_BLOCK_ENTRIES = 1 << 15
+
+
+def _batched_walk_totals(graphs, ends, m, n, deg, walk_length: int) -> list:
+    """`_walk_totals` of every graph, flat in edge order, as Python ints.
+
+    Graphs are sorted by n and padded into (graphs, N, N) adjacency blocks
+    of at most _WALK_BLOCK_ENTRIES entries; sum_l A^l is formed by float64
+    matmul. When walk_length * maxdeg**walk_length < 2**53 every entry and
+    partial sum of it is an integer below 2**53 (the bound of
+    `_count_dtype`), so float64 holds each exactly. Graphs above either
+    bound go to `_walk_totals`, which raises on counts above 2**64 - 1.
+    """
+    m, n = np.asarray(m, dtype=np.intp), np.asarray(n, dtype=np.intp)
+    maxdeg = np.zeros(len(graphs), dtype=np.intp)
+    np.maximum.at(maxdeg, np.repeat(np.arange(len(graphs)), n), deg)
+    exact = [walk_length * d**walk_length < 2**53 for d in maxdeg.tolist()]
+    batched = (m > 0) & (n * n <= _WALK_BLOCK_ENTRIES) & np.array(exact, dtype=bool)
+
+    first = np.cumsum(m) - m
+    totals = np.zeros(len(ends), dtype=np.int64)
+    members = np.flatnonzero(batched)
+    members = members[np.argsort(n[members], kind="stable")]
+    lo = 0
+    while lo < len(members):
+        # n grows along members, so the block's last graph sets its size
+        hi = lo + 1
+        while hi < len(members) and (hi + 1 - lo) * n[members[hi]] ** 2 <= _WALK_BLOCK_ENTRIES:
+            hi += 1
+        block = members[lo:hi]
+        size, counts = int(n[block[-1]]), m[block]
+        slot = np.repeat(np.arange(len(block)), counts)
+        edge = np.repeat(first[block] - (np.cumsum(counts) - counts), counts) + np.arange(len(slot))
+        u, v = ends[edge, 0], ends[edge, 1]
+        adj = np.zeros((len(block), size, size))
+        adj[slot, u, v] = adj[slot, v, u] = 1.0
+        power, acc = adj, adj.copy()
+        for _ in range(walk_length - 1):
+            power = power @ adj
+            acc += power
+        totals[edge] = acc[slot, u, v]
+        lo = hi
+
+    flat = totals.tolist()
+    for gid in np.flatnonzero(~batched & (m > 0)).tolist():
+        flat[first[gid]:first[gid] + m[gid]] = _walk_totals(graphs[gid], walk_length)
+    return flat
 
 
 def reweight(g: LabeledGraph, spec: WeightFunctionSpec) -> LabeledGraph:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 
 class DatasetFormatError(ValueError):
     """Raised when a dataset directory or file does not parse."""
@@ -98,9 +100,23 @@ class LabeledGraph:
             raise ValueError(f"vertex {v} out of range for graph on {self.n} vertices")
         return len(self.adjacency[v])
 
+    @classmethod
+    def _trusted(cls, n, edges, labels, weights) -> "LabeledGraph":
+        """An instance from fields the caller has already checked as `__post_init__` would."""
+        g = cls.__new__(cls)
+        g.__dict__.update(n=n, edges=edges, labels=labels, weights=weights)
+        return g
+
     def with_weights(self, weights: Sequence[float]) -> "LabeledGraph":
-        """Same structure and labels, new per-edge weights (aligned with `edges`)."""
-        return LabeledGraph(self.n, self.edges, self.labels, tuple(weights))
+        """Same structure and labels, new per-edge weights (aligned with `edges`).
+
+        The structure was checked when this graph was made, so only the new
+        weights are; a bad one is reported by the full constructor.
+        """
+        weights = tuple(weights)
+        if len(weights) == len(self.edges) and all(0 <= w < math.inf for w in weights):
+            return self._trusted(self.n, self.edges, self.labels, weights)
+        return LabeledGraph(self.n, self.edges, self.labels, weights)
 
 
 def permute_graph(g: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:
@@ -171,15 +187,170 @@ def load_tud_dataset(directory: str, name: str) -> GraphDataset:
     `<name>_node_labels.txt` and `<name>_edge_attributes.txt` (first column
     becomes the edge weight). The two directed copies of an undirected edge
     are merged; vertices are renumbered from 0 within each graph.
+
+    Files in the strict grammar of `_load_bulk` are parsed and checked as
+    whole arrays. Any other file, and any dataset failing a check, is read
+    again line by line, which reports the fault with its file and line.
     """
-    paths = {
-        key: os.path.join(directory, f"{name}_{key}.txt")
-        for key in ("A", "graph_indicator", "graph_labels", "node_labels", "edge_attributes")
-    }
+    paths = _dataset_paths(directory, name)
     for key in ("A", "graph_indicator", "graph_labels"):
         if not os.path.isfile(paths[key]):
             raise DatasetFormatError(f"missing mandatory file {name}_{key}.txt")
+    try:
+        return _load_bulk(paths, name)
+    except _NotBulk:
+        return _load_lines(paths, name)
 
+
+def _dataset_paths(directory: str, name: str) -> dict[str, str]:
+    return {
+        key: os.path.join(directory, f"{name}_{key}.txt")
+        for key in ("A", "graph_indicator", "graph_labels", "node_labels", "edge_attributes")
+    }
+
+
+class _NotBulk(Exception):
+    """A file outside the bulk grammar, or a dataset failing a bulk check."""
+
+
+# The bulk grammar. Files hold only ASCII and end in at most one newline.
+# An integer file has one integer per line, with an optional leading `-`;
+# an edge file has `u, v` or `u,v` per line; an attribute file has one
+# number per line that `float()` reads. No line is blank. `int()` and
+# `float()` accept more (CR, tabs, `+5`, `1_000`, non-ASCII digits, extra
+# columns); such files go to the line parser. The checks are byte-array
+# scans: a whole-file regex with a repeated group would cost megabytes of
+# match state on a large file.
+_DIGIT_0, _COMMA, _MINUS, _NEWLINE = b"0,-\n"
+_INT_BYTES = b"0123456789-\n"
+_PAIR_BYTES = b"0123456789, \n"
+_FLOAT_BYTES = b"0123456789.eE+-\n"
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+
+
+def _read_grammar(path: str, allowed: bytes) -> bytes:
+    """A file's bytes without their final newline, if it holds only `allowed` bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.endswith(b"\n"):
+        data = data[:-1]
+    if data.translate(None, allowed):
+        raise _NotBulk
+    return data
+
+
+def _bulk_ints(path: str, pairs: bool) -> np.ndarray:
+    """The integers of a file in the bulk grammar, in order: one a line, or `u, v` pairs."""
+    data = _read_grammar(path, _PAIR_BYTES if pairs else _INT_BYTES)
+    if pairs:
+        data = data.replace(b", ", b",")
+    if not data:
+        return np.empty((0, 2) if pairs else 0, dtype=np.int64)
+    arr = np.frombuffer(data, dtype=np.uint8)
+    if pairs:
+        # Digit runs separated by single bytes that go comma, newline, ...,
+        # comma (so no space is left): every line is `u,v`.
+        sep = np.flatnonzero(arr < _DIGIT_0)
+        marks = arr[sep]
+        if (len(sep) % 2 == 0 or sep[0] == 0 or sep[-1] == len(arr) - 1
+                or np.any(np.diff(sep) < 2) or np.any(marks[0::2] != _COMMA)
+                or np.any(marks[1::2] != _NEWLINE)):
+            raise _NotBulk
+        count = len(sep) + 1
+    else:
+        # Lines of digits; a minus starts a line and is followed by a digit.
+        minus = np.flatnonzero(arr == _MINUS)
+        if (data[0] == _NEWLINE or arr[-1] < _DIGIT_0 or b"\n\n" in data
+                or np.any(arr[minus + 1] < _DIGIT_0)
+                or np.any(arr[minus[minus > 0] - 1] != _NEWLINE)):
+            raise _NotBulk
+        count = data.count(b"\n") + 1
+    values = np.fromstring(data.translate(_NEWLINE_TO_COMMA), dtype=np.int64, sep=",")
+    # Below 10**18 in magnitude, every value is exactly what int() reads; a
+    # longer token may have been clamped to the int64 range.
+    if len(values) != count or not -10**18 < values.min() <= values.max() < 10**18:
+        raise _NotBulk
+    return values.reshape(-1, 2) if pairs else values
+
+
+def _bulk_floats(path: str) -> list[float]:
+    """`float()` of each line of a file in the bulk grammar."""
+    data = _read_grammar(path, _FLOAT_BYTES)
+    try:
+        return list(map(float, data.split(b"\n"))) if data else []
+    except ValueError:
+        raise _NotBulk from None
+
+
+def _load_bulk(paths: dict[str, str], name: str) -> GraphDataset:
+    """`_load_lines` for files in the bulk grammar, by whole-array parsing and checks.
+
+    Raises `_NotBulk`, having warned and raised nothing else, for a file
+    outside the grammar or a dataset that fails a check.
+    """
+    graph_of = _bulk_ints(paths["graph_indicator"], pairs=False) - 1
+    class_labels = _bulk_ints(paths["graph_labels"], pairs=False)
+    num_graphs, num_vertices = len(class_labels), len(graph_of)
+    # vertex ids are squared into one int64 key below
+    if not num_graphs or num_vertices >= 2**31:
+        raise _NotBulk
+    if num_vertices and not 0 <= graph_of.min() <= graph_of.max() < num_graphs:
+        raise _NotBulk
+    if os.path.isfile(paths["node_labels"]):
+        node_labels = _bulk_ints(paths["node_labels"], pairs=False)
+        if len(node_labels) != num_vertices:
+            raise _NotBulk
+    else:
+        node_labels = np.zeros(num_vertices, dtype=np.int64)
+
+    ends = _bulk_ints(paths["A"], pairs=True) - 1
+    u, v = ends[:, 0], ends[:, 1]
+    if len(u) and not 0 <= ends.min() <= ends.max() < num_vertices:
+        raise _NotBulk
+    if np.any(graph_of[u] != graph_of[v]) or np.any(u == v):
+        raise _NotBulk
+    directed = np.sort(u * num_vertices + v)
+    if np.any(directed[1:] == directed[:-1]):  # parallel directed pairs
+        raise _NotBulk
+    if os.path.isfile(paths["edge_attributes"]):
+        attrs = np.array(_bulk_floats(paths["edge_attributes"]), dtype=np.float64)
+        # the line parser names a non-finite or negative weight
+        if len(attrs) != len(u) or not np.all((attrs >= 0) & (attrs < math.inf)):
+            raise _NotBulk
+    else:
+        attrs = np.zeros(len(u))
+
+    # Local vertex index = rank of the global id within its graph.
+    vertex_counts = np.bincount(graph_of, minlength=num_graphs)
+    by_graph = np.argsort(graph_of, kind="stable")
+    local = np.empty(num_vertices, dtype=np.int64)
+    local[by_graph] = np.arange(num_vertices) - np.repeat(
+        np.cumsum(vertex_counts) - vertex_counts, vertex_counts)
+
+    # Merge the directed pairs: the first-seen direction supplies the weight.
+    # Local ranks keep the global order, so (lo, hi) is canonical in both.
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    _, first = np.unique(lo * num_vertices + hi, return_index=True)
+    gid, a, b = graph_of[lo[first]], local[lo[first]], local[hi[first]]
+    order = np.lexsort((b, a, gid))
+    edges = list(zip(a[order].tolist(), b[order].tolist()))
+    weights = attrs[first[order]].tolist()
+    labels = node_labels[by_graph].tolist()
+
+    graphs = []
+    e_at = v_at = 0
+    for n, m in zip(vertex_counts.tolist(), np.bincount(gid, minlength=num_graphs).tolist()):
+        # every field passed the checks above
+        graphs.append(LabeledGraph._trusted(
+            n, tuple(edges[e_at:e_at + m]), tuple(labels[v_at:v_at + n]),
+            tuple(weights[e_at:e_at + m]),
+        ))
+        e_at, v_at = e_at + m, v_at + n
+    return GraphDataset(tuple(graphs), tuple(class_labels.tolist()), name)
+
+
+def _load_lines(paths: dict[str, str], name: str) -> GraphDataset:
+    """The line-by-line loader: each fault is reported with its file and line."""
     indicator_path = paths["graph_indicator"]
     graph_of: list[int] = []  # vertex (0-based global) -> graph (0-based)
     for lineno, line in enumerate(_read_lines(indicator_path), start=1):
@@ -237,7 +408,7 @@ def load_tud_dataset(directory: str, name: str) -> GraphDataset:
                 warnings.warn(
                     f"{name}_edge_attributes.txt: using first of {len(cols)} columns "
                     "as the edge weight",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 warned = True
             attr_of_line.append(_parse_weight(cols[0], ea_path, lineno))

@@ -11,7 +11,7 @@ import numpy as np
 from .filtration import (
     Filtration,
     WeightFunctionSpec,
-    compute_weights,
+    dataset_weights,
     fit_thresholds,
     fit_thresholds_auto,
     reweight,
@@ -60,9 +60,9 @@ class GramMatrix:
     filtration: Filtration
 
 
-# Pair chunk of the assembly: a chunk's index and pairs x (k-1) distance
-# temporaries stay near this many pairs however many graphs share a feature.
-_CHUNK_PAIRS = 1 << 12
+# Entry bound of an assembly chunk: its pairs x (k-1) distance temporaries
+# stay near this many doubles however many graphs share a feature.
+_CHUNK_ENTRIES = 1 << 15
 
 
 def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) -> np.ndarray:
@@ -104,9 +104,10 @@ def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) 
     block_end = np.append(block_start[1:], rows)
     partners = np.repeat(block_end, np.diff(block_end, prepend=0)) - np.arange(rows) - 1
     through = np.cumsum(partners)
+    chunk_pairs = max(1, _CHUNK_ENTRIES // max(1, cdf.shape[1]))
     lo = 0
     while lo < rows:
-        hi = max(lo + 1, int(np.searchsorted(through, through[lo] - partners[lo] + _CHUNK_PAIRS,
+        hi = max(lo + 1, int(np.searchsorted(through, through[lo] - partners[lo] + chunk_pairs,
                                              side="right")))
         cnt = partners[lo:hi]
         a = np.repeat(np.arange(lo, hi), cnt)
@@ -156,8 +157,12 @@ def gram_matrix(
 
 
 def reweight_dataset(dataset: GraphDataset, spec: WeightFunctionSpec) -> GraphDataset:
-    """The dataset with every graph carrying the weights computed by `spec`."""
-    return replace(dataset, graphs=tuple(reweight(g, spec) for g in dataset.graphs))
+    """The dataset with every graph carrying the weights computed by `spec`,
+    in one pass over the dataset (`dataset_weights`)."""
+    if spec.kind == "native":
+        return dataset
+    weights = dataset_weights(dataset.graphs, spec)
+    return replace(dataset, graphs=tuple(g.with_weights(w) for g, w in zip(dataset.graphs, weights)))
 
 
 def build_filtration(
@@ -171,9 +176,7 @@ def build_filtration(
     """
     if k != "auto" and k < 1:
         raise ValueError("k must be >= 1")
-    pooled: list[float] = []
-    for g in dataset.graphs:
-        pooled.extend(compute_weights(g, spec))
+    pooled = [w for ws in dataset_weights(dataset.graphs, spec) for w in ws]
     if not pooled:
         if k != "auto" and k > 1:
             warnings.warn(

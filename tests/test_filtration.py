@@ -13,6 +13,7 @@ from wlfiltration import (
     LabeledGraph,
     WeightFunctionSpec,
     compute_weights,
+    dataset_weights,
     filtration_graph,
     filtration_sequence,
     fit_thresholds,
@@ -176,6 +177,80 @@ def test_walk_weights_overflow_at_k3_lambda_65():
         _weight_walks_reference(g, 65)
     with pytest.raises(OverflowError, match="walk_length=65"):
         weight_walks(g, 65)
+
+
+def _degree_reference(g: LabeledGraph) -> tuple[int, ...]:
+    deg = [0] * g.n
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return tuple(max(deg[u], deg[v]) for u, v in g.edges)
+
+
+def _assert_batched_weights_match(graphs, walk_length):
+    """dataset_weights against the per-graph counts and the pure-Python oracles."""
+    walks = dataset_weights(graphs, WeightFunctionSpec("walks", walk_length=walk_length))
+    triangles = dataset_weights(graphs, WeightFunctionSpec("triangles"))
+    degree = dataset_weights(graphs, WeightFunctionSpec("degree"))
+    assert len(walks) == len(triangles) == len(degree) == len(graphs)
+    for g, w, t, d in zip(graphs, walks, triangles, degree):
+        _assert_same_weights(w, tuple(filtration._walk_totals(g, walk_length)))
+        _assert_same_weights(w, _weight_walks_reference(g, walk_length))
+        _assert_same_weights(t, _weight_triangles_reference(g))
+        _assert_same_weights(d, _degree_reference(g))
+        assert all(type(x) is int for x in w + t + d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs=st.lists(_graphs_with_isolated_vertices(), max_size=8),
+       walk_length=st.integers(1, 9))
+@example(graphs=[], walk_length=3)
+@example(graphs=[LabeledGraph.build(0, []), LabeledGraph.build(5, []), K4, K3, path3()],
+         walk_length=4)
+def test_dataset_weights_match_per_graph_oracles(graphs, walk_length):
+    _assert_batched_weights_match(graphs, walk_length)
+
+
+@pytest.mark.parametrize("entries", [1, 30, 1 << 15])
+def test_dataset_weights_do_not_depend_on_block_bound(monkeypatch, entries):
+    # a 200-cycle (n * n = 40,000) is above the default bound; at 30
+    # entries only graphs on at most 5 vertices are batched, one at a time
+    rng = random.Random(23)
+    graphs = [random_graph(rng, max_n=16, p=0.3, min_n=0) for _ in range(30)]
+    graphs.insert(7, LabeledGraph.build(200, [(i, (i + 1) % 200) for i in range(200)]))
+    monkeypatch.setattr(filtration, "_WALK_BLOCK_ENTRIES", entries)
+    _assert_batched_weights_match(graphs, 5)
+
+
+# K3 has maxdeg 2 and K6 maxdeg 5: walk_length * maxdeg**walk_length crosses
+# 2**53 between 47 and 48 for K3 and between 20 and 21 for K6, and the
+# counts themselves cross 2**53 and 2**63 over these lengths.
+@pytest.mark.parametrize("n, walk_length, batched", [
+    (3, 47, True), (3, 48, False), (3, 57, False), (3, 64, False),
+    (6, 20, True), (6, 21, False), (6, 25, False), (6, 27, False),
+])
+def test_dataset_weights_straddle_exact_float_and_int64(monkeypatch, n, walk_length, batched):
+    alone = []
+    original = filtration._walk_totals
+
+    def counting(g, length):
+        alone.append(g)
+        return original(g, length)
+
+    # maxdeg 1 keeps the first graph batched at any length
+    graphs = [LabeledGraph.build(3, [(1, 2)]), _complete_graph(n), LabeledGraph.build(4, [])]
+    want = [_weight_walks_reference(g, walk_length) for g in graphs]
+    monkeypatch.setattr(filtration, "_walk_totals", counting)
+    got = dataset_weights(graphs, WeightFunctionSpec("walks", walk_length=walk_length))
+    for w, r in zip(got, want):
+        _assert_same_weights(w, r)
+    assert alone == ([] if batched else [graphs[1]])
+
+
+def test_dataset_weights_overflow_at_k3_lambda_65():
+    graphs = [path3(), _complete_graph(3)]
+    with pytest.raises(OverflowError, match="walk_length=65"):
+        dataset_weights(graphs, WeightFunctionSpec("walks", walk_length=65))
 
 
 def test_compute_weights_dispatch():

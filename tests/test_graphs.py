@@ -3,8 +3,12 @@
 import math
 import os
 import random
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlfiltration import (
     DatasetFormatError,
@@ -13,6 +17,7 @@ from wlfiltration import (
     permute_graph,
     write_tud_dataset,
 )
+from wlfiltration import graphs
 from wlfiltration.csl import csl_graph
 
 from conftest import path3, random_dataset, random_graph
@@ -47,6 +52,17 @@ def test_build_validates_shapes():
 def test_build_rejects_non_finite_weight(weight):
     with pytest.raises(ValueError, match="not finite"):
         LabeledGraph(2, ((0, 1),), (0, 0), (weight,))
+
+
+def test_with_weights_checks_the_new_weights():
+    g = path3(1.0, 2.0)
+    h = g.with_weights([3, 4.5])
+    assert h == LabeledGraph(3, g.edges, g.labels, (3, 4.5))
+    assert h.adjacency == g.adjacency
+    for bad, match in (([1.0], "expected 2 edge weights"), ([1.0, -1.0], "negative"),
+                       ([math.nan, 1.0], "not finite"), ([1.0, math.inf], "not finite")):
+        with pytest.raises(ValueError, match=match):
+            g.with_weights(bad)
 
 
 def test_adjacency_sorted_and_degree_sum():
@@ -257,3 +273,210 @@ def test_load_ptc_mr_statistics():
     assert abs(mean_v - 14.3) < 0.1
     labels = {lab for g in ds.graphs for lab in g.labels}
     assert len(labels) == 18
+
+
+# The bulk loader against the line parser. Each case is a dataset whose
+# files are the TUDataset text of a small weighted dataset, one of them
+# edited. `load_tud_dataset` must give what `_load_lines` gives: the same
+# dataset (compared by repr, so int/float types count) with the same
+# warnings, or the same error. When `_load_bulk` accepts a case itself, its
+# result must be that dataset too.
+
+def _base_files(weighted: bool = True) -> dict[str, str]:
+    """Three graphs on vertices 1-3, 4-5 and 6-9, as TUDataset file texts."""
+    files = {
+        "A": "1, 2\n2, 1\n2, 3\n3, 2\n4, 5\n5, 4\n6, 7\n7, 6\n8, 9\n9, 8\n6, 9\n9, 6\n",
+        "graph_indicator": "1\n1\n1\n2\n2\n3\n3\n3\n3\n",
+        "graph_labels": "1\n0\n1\n",
+        "node_labels": "5\n6\n5\n0\n1\n2\n2\n3\n7\n",
+    }
+    if weighted:
+        files["edge_attributes"] = (
+            "0.5\n0.5\n1.25\n1.25\n3.0\n3.0\n1e-05\n1e-05\n0.1\n0.1\n7.0\n7.0\n")
+    return files
+
+
+def _edit(key, old, new):
+    """Replace the first `old` in one file."""
+    def apply(files):
+        assert old in files[key]
+        files[key] = files[key].replace(old, new, 1)
+    return apply
+
+
+def _edit_all(old, new):
+    def apply(files):
+        for key in files:
+            files[key] = files[key].replace(old, new)
+    return apply
+
+
+def _drop(key):
+    def apply(files):
+        del files[key]
+    return apply
+
+
+def _set(key, text):
+    def apply(files):
+        files[key] = text
+    return apply
+
+
+# (case id, edit, whether the bulk path must accept the result)
+_LOADER_CASES = [
+    ("as written", None, True),
+    ("unweighted", _drop("edge_attributes"), True),
+    ("no node labels", _drop("node_labels"), True),
+    ("no final newline", lambda f: f.update((k, v.rstrip("\n")) for k, v in f.items()), True),
+    ("comma without space", _edit_all(", ", ","), True),
+    ("no edges", lambda f: f.update(A="", edge_attributes=""), True),
+    ("edgeless and empty files", lambda f: f.update(A="", edge_attributes="\n"), True),
+    ("negative class labels", _set("graph_labels", "-1\n1\n-1\n"), True),
+    ("negative node label", _edit("node_labels", "7\n", "-7\n"), True),
+    ("leading zeros", _edit("graph_labels", "0\n", "007\n"), True),
+    ("18 digits", _edit("graph_labels", "0\n", "999999999999999999\n"), True),
+    ("zero-padded to 22 digits", _edit("graph_labels", "0\n", "0000000000000000000003\n"), True),
+    ("interleaved graphs", lambda f: f.update(
+        A="3, 1\n1, 3\n4, 2\n2, 4\n5, 2\n2, 5\n", graph_indicator="1\n2\n1\n2\n2\n",
+        graph_labels="0\n1\n", node_labels="1\n2\n3\n4\n5\n",
+        edge_attributes="1.0\n1.0\n2.0\n2.0\n0.5\n0.5\n"), True),
+    ("graph without vertices", lambda f: f.update(graph_labels="1\n0\n1\n4\n"), True),
+    ("attribute forms", _set("edge_attributes", "5.\n5.\n.5\n.5\n1E+2\n1E+2\n1e-3\n1e-3\n"
+                                                 "-0.0\n-0.0\n2\n2\n"), True),
+    ("second direction first", _edit("A", "1, 2\n2, 1\n", "2, 1\n1, 2\n"), True),
+    ("directions weighted apart", _edit("edge_attributes", "0.5\n0.5\n", "0.5\n0.75\n"), True),
+    ("one direction only", _edit("A", "2, 1\n", ""), False),
+    ("crlf", _edit_all("\n", "\r\n"), False),
+    ("blank lines", _edit("graph_indicator", "1\n1\n", "1\n\n1\n"), False),
+    ("blank final line", _edit("graph_labels", "1\n0\n1\n", "1\n0\n1\n\n"), False),
+    ("leading blank line", _edit("A", "1, 2", "\n1, 2"), False),
+    ("tab", _edit("A", "1, 2", "1,\t2"), False),
+    ("trailing space", _edit("A", "1, 2", "1, 2 "), False),
+    ("plus sign", _edit("graph_labels", "0\n", "+5\n"), False),
+    ("underscore", _edit("graph_labels", "0\n", "1_000\n"), False),
+    ("non-ASCII digit", _edit("graph_labels", "0\n", "١\n"), False),
+    ("space inside a number", _edit("A", "8, 9", "8, 9 9"), False),
+    ("two commas", _edit("A", "1, 2", "1, 2, 3"), False),
+    ("no comma", _edit("A", "1, 2", "12"), False),
+    ("two commas, then none", _edit("A", "1, 2\n2, 1\n", "1, 2, 2\n1\n"), False),
+    ("comma first", _edit("A", "1, 2", ", 2"), False),
+    ("comma last", _edit("A", "1, 2", "1, "), False),
+    ("double space", _edit("A", "1, 2", "1,  2"), False),
+    ("negative vertex id", _edit("A", "1, 2", "-1, 2"), False),
+    ("zero vertex id", _edit("A", "1, 2", "0, 2"), False),
+    ("vertex id above range", _edit("A", "1, 2", "1, 10"), False),
+    ("vertex id of 2**63", _edit("A", "1, 2", "9223372036854775808, 2"), False),
+    ("class label of 2**63", _edit("graph_labels", "0\n", "9223372036854775808\n"), False),
+    ("node label of 2**64 + 1", _edit("node_labels", "7\n", "18446744073709551617\n"), False),
+    ("node label of -2**63", _edit("node_labels", "7\n", "-9223372036854775808\n"), False),
+    ("19 digits", _edit("graph_labels", "0\n", "1000000000000000000\n"), False),
+    ("minus inside a line", _edit("graph_labels", "0\n", "5-3\n"), False),
+    ("lone minus", _edit("graph_labels", "0\n", "-\n"), False),
+    ("parallel directed pair", _edit("A", "2, 1\n", "1, 2\n"), False),
+    ("cross-graph edge", _edit("A", "4, 5", "3, 5"), False),
+    ("self-loop", _edit("A", "1, 2", "2, 2"), False),
+    ("indicator out of range", _edit("graph_indicator", "3\n", "4\n"), False),
+    ("indicator of zero", _edit("graph_indicator", "1\n", "0\n"), False),
+    ("no graphs", _set("graph_labels", ""), False),
+    ("node label count", _edit("node_labels", "7\n", ""), False),
+    ("two node label columns", _edit_all("\n5\n", "\n5, 1\n"), False),
+    ("attribute count", _edit("edge_attributes", "7.0\n", ""), False),
+    ("NaN attribute", _edit("edge_attributes", "3.0\n3.0", "nan\nnan"), False),
+    ("inf attribute", _edit("edge_attributes", "3.0\n3.0", "inf\ninf"), False),
+    ("overflowing attribute", _edit("edge_attributes", "3.0\n3.0", "1e400\n1e400"), False),
+    ("negative attribute", _edit("edge_attributes", "3.0\n3.0", "-3.0\n-3.0"), False),
+    ("hex attribute", _edit("edge_attributes", "3.0", "0x1p3"), False),
+    ("two dots", _edit("edge_attributes", "3.0", "3.0.0"), False),
+    ("bare exponent", _edit("edge_attributes", "3.0", "e5"), False),
+    ("underscore attribute", _edit("edge_attributes", "3.0", "3_0.0"), False),
+    ("multi-column attributes", _edit_all(".5\n", ".5, 9, 9\n"), False),
+]
+
+
+def _write_files(directory, name, files) -> None:
+    for key, text in files.items():
+        with open(os.path.join(directory, f"{name}_{key}.txt"), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(text)
+
+
+def _outcome(load, *args):
+    """repr of the loaded dataset or of the error, and the warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(load(*args))
+        except Exception as exc:  # the two loaders must fail alike, whatever the error
+            result = f"{type(exc).__name__}: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+def _assert_loaders_agree(directory, name) -> bool:
+    """Whether `_load_bulk` accepted the files; asserts both loaders agree."""
+    paths = graphs._dataset_paths(directory, name)
+    want = _outcome(graphs._load_lines, paths, name)
+    assert _outcome(load_tud_dataset, directory, name) == want
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bulk = graphs._load_bulk(paths, name)
+    except graphs._NotBulk:
+        return False
+    assert (repr(bulk), []) == want
+    return True
+
+
+@pytest.mark.parametrize("edit, bulk", [(e, b) for _, e, b in _LOADER_CASES],
+                         ids=[case for case, _, _ in _LOADER_CASES])
+def test_bulk_loader_matches_line_parser(tmp_path, edit, bulk):
+    files = _base_files()
+    if edit is not None:
+        edit(files)
+    _write_files(str(tmp_path), "X", files)
+    assert _assert_loaders_agree(str(tmp_path), "X") == bulk
+
+
+def test_bulk_loader_warns_once_for_extra_attribute_columns(tmp_path):
+    files = _base_files()
+    _edit_all(".5\n", ".5, 9\n")(files)
+    _write_files(str(tmp_path), "X", files)
+    with pytest.warns(UserWarning, match="first of 2 columns") as caught:
+        ds = load_tud_dataset(str(tmp_path), "X")
+    assert len(caught) == 1
+    assert ds.graphs[0].weights == (0.5, 1.25)
+
+
+_FUZZ_ALPHABET = "0123456789,- \n\r\t+._eE١"
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted=st.booleans(), key=st.sampled_from(
+           ["A", "graph_indicator", "graph_labels", "node_labels", "edge_attributes"]),
+       at=st.floats(0, 1), drop=st.integers(0, 2),
+       insert=st.text(_FUZZ_ALPHABET, max_size=3))
+def test_bulk_loader_matches_line_parser_on_random_edits(weighted, key, at, drop, insert):
+    files = _base_files(weighted)
+    if key in files:
+        text = files[key]
+        i = int(at * len(text))
+        files[key] = text[:i] + insert + text[i + drop:]
+    with tempfile.TemporaryDirectory() as directory:
+        _write_files(directory, "X", files)
+        _assert_loaders_agree(directory, "X")
+
+
+def test_bulk_float_parse_is_float():
+    rng = random.Random(41)
+    values = [rng.uniform(0, 10) for _ in range(300)]
+    values += [rng.expovariate(1) * 10.0 ** rng.randint(-300, 300) for _ in range(300)]
+    values += [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+    texts = [repr(v) for v in values] + ["0.1000000000000000055511151231257827", "1" * 40]
+    assert len(texts) == 607
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "X_edge_attributes.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(texts) + "\n")
+        got = graphs._bulk_floats(path)
+    assert got == [float(t) for t in texts]
+    assert all(type(v) is float for v in got)

@@ -247,29 +247,35 @@ def test_cli_threads_do_not_change_output(tmp_path, mini_tud_dir):
 
 
 def test_compute_and_gram_matrix_weigh_each_graph_once(tmp_path, mini_tud_dir, monkeypatch):
-    from wlfiltration import filtration
+    from wlfiltration import filtration, kernels
 
-    weighed = []
-    original = filtration.compute_weights
+    passes = []
+    original = kernels.dataset_weights
 
-    def counting(g, spec):
-        # a native spec reads the weights a graph carries; only the others compute
+    def counting(graphs, spec):
+        # a native spec reads the weights the graphs carry; only the others compute
         if spec.kind != "native":
-            weighed.append(g)
-        return original(g, spec)
+            passes.append(len(graphs))
+        return original(graphs, spec)
 
-    monkeypatch.setattr(filtration, "compute_weights", counting)
+    def alone(*args):
+        raise AssertionError("a graph was weighed on its own")
+
+    monkeypatch.setattr(kernels, "dataset_weights", counting)
+    # small graphs and lambda=3 are within the batched pass's bounds
+    for name in ("compute_weights", "_walk_totals"):
+        monkeypatch.setattr(filtration, name, alone)
     assert _run_cli(
         "compute", "--dataset", mini_tud_dir, "--name", "MINI20",
         "--weights", "walks", "--lambda", "3", "--k", "3", "--h", "1",
         "--out", str(tmp_path / "w.csv"),
     ) == 0
-    assert len(weighed) == 20
+    assert passes == [20]
 
-    weighed.clear()
+    passes.clear()
     ds = random_dataset(34, 6, max_n=7)
     gram_matrix(ds, WeightFunctionSpec("walks", walk_length=3), 2, KernelConfig(h=1))
-    assert len(weighed) == len(ds)
+    assert passes == [len(ds)]
 
 
 def test_libsvm_field_count_small(tmp_path):

@@ -360,8 +360,10 @@ def test_assemble_row_chunks_do_not_change_values(monkeypatch, variant):
     line = GroundLine(filt.thresholds)
     cfg = KernelConfig(h=1, beta=0.05, variant=variant)
     whole = kernels.assemble_gram(store, line, cfg)
-    for pairs in (1, 7):
-        monkeypatch.setattr(kernels, "_CHUNK_PAIRS", pairs)
+    # a chunk of e entries holds e // (k - 1) pairs, at least one
+    assert len(filt) == 6
+    for entries in (1, 35):
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", entries)
         assert np.array_equal(kernels.assemble_gram(store, line, cfg), whole)
 
 
