@@ -17,9 +17,6 @@ from .filtration import (
     fit_thresholds,
     fit_thresholds_auto,
     reweight,
-    weight_degree,
-    weight_triangles,
-    weight_walks,
 )
 from .gram_io import RunManifest, load_manifest, read_gram_csv, write_gram
 from .graphs import (
@@ -46,7 +43,7 @@ from .transport import (
 )
 from .wl import FeatureCounts, LabelInterner, extract_all
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "DatasetFormatError",
@@ -82,9 +79,6 @@ __all__ = [
     "wasserstein_1d",
     "wasserstein_cdf_points",
     "wasserstein_matching",
-    "weight_degree",
-    "weight_triangles",
-    "weight_walks",
     "write_gram",
     "write_tud_dataset",
 ]

@@ -52,30 +52,6 @@ class Filtration:
         return len(self.thresholds)
 
 
-def weight_degree(g: LabeledGraph) -> tuple[int, ...]:
-    """w({u,v}) = max(deg(u), deg(v)), aligned with g.edges."""
-    deg = [len(ns) for ns in g.adjacency]
-    return tuple(max(deg[u], deg[v]) for u, v in g.edges)
-
-
-def weight_triangles(g: LabeledGraph) -> tuple[int, ...]:
-    """w({u,v}) = number of triangles containing the edge = |N(u) ∩ N(v)|.
-
-    On an edge A[u,v] = 1 and (A^2)[u,v] counts the common neighbours, so
-    this is the two-step walk total minus one.
-    """
-    return tuple(w - 1 for w in _walk_totals(g, 2))
-
-
-def weight_walks(g: LabeledGraph, walk_length: int) -> tuple[int, ...]:
-    """w({u,v}) = number of walks of length 1..walk_length from u to v.
-
-    Exact integer arithmetic; any count above the 64-bit unsigned range is an
-    overflow error rather than a silent wraparound.
-    """
-    return tuple(_walk_totals(g, walk_length))
-
-
 # Row chunk of the walk propagation: the rows x (n + 2m) temporaries stay
 # near this many entries however large the graph.
 _WALK_CHUNK_ENTRIES = 1 << 18
@@ -143,11 +119,13 @@ def compute_weights(g: LabeledGraph, spec: WeightFunctionSpec) -> tuple[float, .
 def dataset_weights(
     graphs: Sequence[LabeledGraph], spec: WeightFunctionSpec
 ) -> list[tuple[float, ...]]:
-    """`compute_weights` of every graph, computed over the whole dataset at once.
+    """The edge weights of every graph under `spec`, aligned with each `g.edges`.
 
-    Degrees come from one bincount. Walk and triangle counts come from
-    `_batched_walk_totals`. The weights are Python numbers, equal in value
-    and type to the per-graph functions'.
+    'degree' is max(deg(u), deg(v)); 'walks' counts the walks of length
+    1..walk_length from u to v, raising on a count above the 64-bit unsigned
+    range; 'triangles' counts the triangles on the edge, |N(u) ∩ N(v)|.
+    Degrees come from one bincount over the dataset, walk and triangle
+    counts from `_batched_walk_totals`, all as Python ints.
     """
     if spec.kind == "native":
         return [g.weights for g in graphs]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import warnings
@@ -146,39 +147,6 @@ class GraphDataset:
         return len(self.graphs)
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
-
-
-def _parse_int(token: str, path: str, lineno: int) -> int:
-    try:
-        return int(token.strip())
-    except ValueError:
-        raise DatasetFormatError(
-            f"{os.path.basename(path)}:{lineno}: non-numeric token {token.strip()!r}"
-        ) from None
-
-
-def _parse_weight(token: str, path: str, lineno: int) -> float:
-    """An edge weight: a finite, nonnegative float."""
-    try:
-        value = float(token.strip())
-    except ValueError:
-        raise DatasetFormatError(
-            f"{os.path.basename(path)}:{lineno}: non-numeric token {token.strip()!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise DatasetFormatError(
-            f"{os.path.basename(path)}:{lineno}: non-finite value {token.strip()!r}"
-        )
-    if value < 0:
-        raise DatasetFormatError(
-            f"{os.path.basename(path)}:{lineno}: negative edge weight {token.strip()!r}"
-        )
-    return value
-
-
 def load_tud_dataset(directory: str, name: str) -> GraphDataset:
     """Load a dataset in TUDataset text format from `directory`.
 
@@ -188,18 +156,72 @@ def load_tud_dataset(directory: str, name: str) -> GraphDataset:
     becomes the edge weight). The two directed copies of an undirected edge
     are merged; vertices are renumbered from 0 within each graph.
 
-    Files in the strict grammar of `_load_bulk` are parsed and checked as
-    whole arrays. Any other file, and any dataset failing a check, is read
-    again line by line, which reports the fault with its file and line.
+    Each file is parsed once, in bulk when its bytes fit the grammar of
+    `_bulk_ints`/`_bulk_floats` and by `_parse_lines` otherwise. The files
+    are then checked against each other as whole arrays. A fault is reported
+    with its file and line. Of several, the one reported is the first met
+    going through the files line by line in the order indicator, graph
+    labels, node labels, edge attributes, `_A.txt`, where a file's line
+    count is checked before its lines.
     """
     paths = _dataset_paths(directory, name)
     for key in ("A", "graph_indicator", "graph_labels"):
         if not os.path.isfile(paths[key]):
             raise DatasetFormatError(f"missing mandatory file {name}_{key}.txt")
-    try:
-        return _load_bulk(paths, name)
-    except _NotBulk:
-        return _load_lines(paths, name)
+    graph_of = _read_file(paths["graph_indicator"], "int").checked() - 1
+    class_labels = _read_file(paths["graph_labels"], "int").checked()
+    num_graphs, num_vertices = len(class_labels), len(graph_of)
+    if not num_graphs:
+        raise DatasetFormatError(f"{name}_graph_labels.txt lists no graphs")
+    # min and max also compare the Python ints of an object array
+    if num_vertices and not 0 <= graph_of.min() <= graph_of.max() < num_graphs:
+        raise DatasetFormatError(
+            f"{name}_graph_indicator.txt references a graph outside 1..{num_graphs}"
+        )
+    graph_of = graph_of.astype(np.int64)
+    if os.path.isfile(paths["node_labels"]):
+        node_labels = _read_file(paths["node_labels"], "label").expect(num_vertices).checked()
+    else:
+        node_labels = np.zeros(num_vertices, dtype=np.int64)
+    pairs = _read_file(paths["A"], "pair")
+    weights = np.zeros(pairs.count)
+    if os.path.isfile(paths["edge_attributes"]):
+        attrs = _read_file(paths["edge_attributes"], "float")
+        weights = _checked_weights(attrs.expect(pairs.count))
+    u, v = _checked_ends(pairs, graph_of)
+
+    # A vertex's rank in graph order: its local index plus its graph's start.
+    # Graphs keep their vertices' order, so rank keys sort edges by (graph,
+    # local u, local v).
+    vertex_counts = np.bincount(graph_of, minlength=num_graphs)
+    starts = np.cumsum(vertex_counts) - vertex_counts
+    by_graph = np.argsort(graph_of, kind="stable")
+    rank = np.empty(num_vertices, dtype=np.int64)
+    rank[by_graph] = np.arange(num_vertices)
+
+    # Merge the directed pairs: the first-seen direction supplies the weight.
+    # The sort is stable, so the copies of an edge stay in line order.
+    lo, hi = np.minimum(rank[u], rank[v]), np.maximum(rank[u], rank[v])
+    keys = _pair_keys(lo, hi, num_vertices)
+    order = np.argsort(keys, kind="stable")
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    first = order[new]
+    gid = graph_of[u[first]]
+    edges = list(zip((lo[first] - starts[gid]).tolist(), (hi[first] - starts[gid]).tolist()))
+    weights = weights[first].tolist()
+    labels = node_labels[by_graph].tolist()
+
+    graphs = []
+    e_at = v_at = 0
+    for n, m in zip(vertex_counts.tolist(), np.bincount(gid, minlength=num_graphs).tolist()):
+        # every field passed the checks above
+        graphs.append(LabeledGraph._trusted(
+            n, tuple(edges[e_at:e_at + m]), tuple(labels[v_at:v_at + n]),
+            tuple(weights[e_at:e_at + m]),
+        ))
+        e_at, v_at = e_at + m, v_at + n
+    return GraphDataset(tuple(graphs), tuple(class_labels.tolist()), name)
 
 
 def _dataset_paths(directory: str, name: str) -> dict[str, str]:
@@ -209,8 +231,158 @@ def _dataset_paths(directory: str, name: str) -> dict[str, str]:
     }
 
 
+@dataclass(frozen=True)
+class _Column:
+    """A file's values in line order, up to the first line that does not parse.
+
+    `count` is the number of non-blank lines. `fault` is the error of the
+    line that does not parse; the checks raise it once they reach this
+    file's tokens. `lines[i]` is the line of `values[i]` (`i + 1` when
+    None), and `wide` the index and column count of the first line holding
+    more than one column.
+    """
+
+    path: str
+    values: np.ndarray
+    count: int
+    lines: list[int] | None = None
+    fault: DatasetFormatError | None = None
+    wide: tuple[int, int] | None = None
+
+    def line(self, i: int) -> int:
+        return i + 1 if self.lines is None else self.lines[i]
+
+    def expect(self, count: int) -> "_Column":
+        """This column, if the file has `count` non-blank lines."""
+        if self.count != count:
+            raise DatasetFormatError(
+                f"{os.path.basename(self.path)} has {self.count} lines, expected {count}")
+        return self
+
+    def checked(self) -> np.ndarray:
+        """Every value; raises the error of a line that did not parse."""
+        if self.fault is not None:
+            raise self.fault
+        return self.values
+
+
+def _read_file(path: str, kind: str) -> _Column:
+    """A file of `kind` 'int' (an integer a line), 'label' (an integer in the
+    first column), 'pair' (`u, v`) or 'float' (a number in the first column)."""
+    try:
+        if kind == "float":
+            values = np.array(_bulk_floats(path), dtype=np.float64)
+        else:
+            values = _bulk_ints(path, pairs=kind == "pair")
+    except _NotBulk:
+        return _parse_lines(path, kind)
+    return _Column(path, values, len(values))
+
+
+def _parse_lines(path: str, kind: str) -> _Column:
+    """`_read_file` for any file that `int()` and `float()` read line by line.
+
+    Blank lines are skipped but keep their line numbers. Parsing stops at
+    the first line that does not parse; the column holds its error.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        numbered = [(lineno, text) for lineno, line in enumerate(fh, start=1)
+                    if (text := line.strip())]
+    parse = float if kind == "float" else int
+    values: list = []
+    lines: list[int] = []
+    wide = fault = None
+    try:
+        for lineno, text in numbered:
+            cols = text.split(",")
+            if kind == "pair" and len(cols) != 2:
+                raise DatasetFormatError(
+                    f"{os.path.basename(path)}:{lineno}: expected 'u, v', got {text!r}")
+            if len(cols) > 1 and wide is None:
+                wide = (len(lines), len(cols))
+            tokens = cols if kind == "pair" else [text if kind == "int" else cols[0]]
+            values += [_parse_token(parse, token, path, lineno) for token in tokens]
+            lines.append(lineno)
+    except DatasetFormatError as exc:
+        fault = exc
+    if kind == "float":
+        array = np.array(values, dtype=np.float64)
+    else:
+        try:
+            array = np.array(values, dtype=np.int64)
+        except OverflowError:  # the checks compare these as Python ints
+            array = np.array(values, dtype=object)
+        if kind == "pair":
+            array = array.reshape(-1, 2)
+    return _Column(path, array, len(numbered), lines, fault, wide)
+
+
+def _parse_token(parse, token: str, path: str, lineno: int):
+    try:
+        return parse(token.strip())
+    except ValueError:
+        raise DatasetFormatError(
+            f"{os.path.basename(path)}:{lineno}: non-numeric token {token.strip()!r}"
+        ) from None
+
+
+def _checked_weights(attrs: _Column) -> np.ndarray:
+    """The edge weights of an attribute file.
+
+    Raises the first line that does not hold a finite, nonnegative number,
+    and warns about extra columns if a line before it (or it) has them.
+    """
+    name = os.path.basename(attrs.path)
+    values = attrs.values
+    bad = np.flatnonzero(~((values >= 0) & (values < math.inf)))
+    stop = bad[0] if len(bad) else len(values) if attrs.fault else None
+    if attrs.wide is not None and (stop is None or attrs.wide[0] <= stop):
+        warnings.warn(f"{name}: using first of {attrs.wide[1]} columns as the edge weight",
+                      stacklevel=3)
+    if len(bad):
+        lineno = attrs.line(bad[0])
+        with open(attrs.path, "r", encoding="utf-8") as fh:
+            token = next(itertools.islice(fh, lineno - 1, None)).split(",")[0].strip()
+        what = "negative edge weight" if math.isfinite(values[bad[0]]) else "non-finite value"
+        raise DatasetFormatError(f"{name}:{lineno}: {what} {token!r}")
+    return attrs.checked()
+
+
+def _checked_ends(pairs: _Column, graph_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based endpoints of the `_A.txt` lines; raises the first line at fault."""
+    num_vertices = len(graph_of)
+    ends = pairs.values - 1
+    outside = np.flatnonzero(~((ends >= 0) & (ends < num_vertices)).all(axis=1))
+    # every other check runs on the lines before the first vertex out of range
+    stop = outside[0] if len(outside) else len(ends)
+    u, v = ends[:stop].astype(np.int64).T
+    faults = [(stop, f"vertex id outside 1..{num_vertices}")] if len(outside) else []
+    for at in np.flatnonzero(graph_of[u] != graph_of[v])[:1]:
+        faults.append((at, "edge joins vertices of different graphs"))
+    for at in np.flatnonzero(u == v)[:1]:
+        faults.append((at, f"self-loop on vertex {u[at] + 1}"))
+    # a directed pair on an earlier line
+    keys = _pair_keys(u, v, num_vertices)
+    ordered = np.sort(keys)
+    if np.any(ordered[1:] == ordered[:-1]):
+        again = np.ones(len(keys), dtype=bool)
+        again[np.unique(keys, return_index=True)[1]] = False
+        at = np.flatnonzero(again)[0]
+        faults.append((at, f"parallel edge ({u[at] + 1}, {v[at] + 1})"))
+    if faults:
+        at, what = min(faults, key=lambda fault: fault[0])
+        raise DatasetFormatError(f"{os.path.basename(pairs.path)}:{pairs.line(at)}: {what}")
+    pairs.checked()
+    return u, v
+
+
+def _pair_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """a * n + b for ids below n: int64 below 2**31 ids, exact Python ints above."""
+    return (a if n < 2**31 else a.astype(object)) * n + b
+
+
 class _NotBulk(Exception):
-    """A file outside the bulk grammar, or a dataset failing a bulk check."""
+    """A file outside the bulk grammar."""
 
 
 # The bulk grammar. Files hold only ASCII and end in at most one newline.
@@ -218,7 +390,7 @@ class _NotBulk(Exception):
 # an edge file has `u, v` or `u,v` per line; an attribute file has one
 # number per line that `float()` reads. No line is blank. `int()` and
 # `float()` accept more (CR, tabs, `+5`, `1_000`, non-ASCII digits, extra
-# columns); such files go to the line parser. The checks are byte-array
+# columns); such files go to `_parse_lines`. The checks are byte-array
 # scans: a whole-file regex with a repeated group would cost megabytes of
 # match state on a large file.
 _DIGIT_0, _COMMA, _MINUS, _NEWLINE = b"0,-\n"
@@ -280,189 +452,6 @@ def _bulk_floats(path: str) -> list[float]:
         return list(map(float, data.split(b"\n"))) if data else []
     except ValueError:
         raise _NotBulk from None
-
-
-def _load_bulk(paths: dict[str, str], name: str) -> GraphDataset:
-    """`_load_lines` for files in the bulk grammar, by whole-array parsing and checks.
-
-    Raises `_NotBulk`, having warned and raised nothing else, for a file
-    outside the grammar or a dataset that fails a check.
-    """
-    graph_of = _bulk_ints(paths["graph_indicator"], pairs=False) - 1
-    class_labels = _bulk_ints(paths["graph_labels"], pairs=False)
-    num_graphs, num_vertices = len(class_labels), len(graph_of)
-    # vertex ids are squared into one int64 key below
-    if not num_graphs or num_vertices >= 2**31:
-        raise _NotBulk
-    if num_vertices and not 0 <= graph_of.min() <= graph_of.max() < num_graphs:
-        raise _NotBulk
-    if os.path.isfile(paths["node_labels"]):
-        node_labels = _bulk_ints(paths["node_labels"], pairs=False)
-        if len(node_labels) != num_vertices:
-            raise _NotBulk
-    else:
-        node_labels = np.zeros(num_vertices, dtype=np.int64)
-
-    ends = _bulk_ints(paths["A"], pairs=True) - 1
-    u, v = ends[:, 0], ends[:, 1]
-    if len(u) and not 0 <= ends.min() <= ends.max() < num_vertices:
-        raise _NotBulk
-    if np.any(graph_of[u] != graph_of[v]) or np.any(u == v):
-        raise _NotBulk
-    directed = np.sort(u * num_vertices + v)
-    if np.any(directed[1:] == directed[:-1]):  # parallel directed pairs
-        raise _NotBulk
-    if os.path.isfile(paths["edge_attributes"]):
-        attrs = np.array(_bulk_floats(paths["edge_attributes"]), dtype=np.float64)
-        # the line parser names a non-finite or negative weight
-        if len(attrs) != len(u) or not np.all((attrs >= 0) & (attrs < math.inf)):
-            raise _NotBulk
-    else:
-        attrs = np.zeros(len(u))
-
-    # Local vertex index = rank of the global id within its graph.
-    vertex_counts = np.bincount(graph_of, minlength=num_graphs)
-    by_graph = np.argsort(graph_of, kind="stable")
-    local = np.empty(num_vertices, dtype=np.int64)
-    local[by_graph] = np.arange(num_vertices) - np.repeat(
-        np.cumsum(vertex_counts) - vertex_counts, vertex_counts)
-
-    # Merge the directed pairs: the first-seen direction supplies the weight.
-    # Local ranks keep the global order, so (lo, hi) is canonical in both.
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    _, first = np.unique(lo * num_vertices + hi, return_index=True)
-    gid, a, b = graph_of[lo[first]], local[lo[first]], local[hi[first]]
-    order = np.lexsort((b, a, gid))
-    edges = list(zip(a[order].tolist(), b[order].tolist()))
-    weights = attrs[first[order]].tolist()
-    labels = node_labels[by_graph].tolist()
-
-    graphs = []
-    e_at = v_at = 0
-    for n, m in zip(vertex_counts.tolist(), np.bincount(gid, minlength=num_graphs).tolist()):
-        # every field passed the checks above
-        graphs.append(LabeledGraph._trusted(
-            n, tuple(edges[e_at:e_at + m]), tuple(labels[v_at:v_at + n]),
-            tuple(weights[e_at:e_at + m]),
-        ))
-        e_at, v_at = e_at + m, v_at + n
-    return GraphDataset(tuple(graphs), tuple(class_labels.tolist()), name)
-
-
-def _load_lines(paths: dict[str, str], name: str) -> GraphDataset:
-    """The line-by-line loader: each fault is reported with its file and line."""
-    indicator_path = paths["graph_indicator"]
-    graph_of: list[int] = []  # vertex (0-based global) -> graph (0-based)
-    for lineno, line in enumerate(_read_lines(indicator_path), start=1):
-        graph_of.append(_parse_int(line, indicator_path, lineno) - 1)
-    num_vertices = len(graph_of)
-
-    labels_path = paths["graph_labels"]
-    class_labels = [
-        _parse_int(line, labels_path, lineno)
-        for lineno, line in enumerate(_read_lines(labels_path), start=1)
-    ]
-    num_graphs = len(class_labels)
-    if num_graphs == 0:
-        raise DatasetFormatError(f"{name}_graph_labels.txt lists no graphs")
-    if any(g < 0 or g >= num_graphs for g in graph_of):
-        raise DatasetFormatError(
-            f"{name}_graph_indicator.txt references a graph outside 1..{num_graphs}"
-        )
-
-    # Local vertex index = rank of the global id within its graph.
-    local_index = [0] * num_vertices
-    vertex_counts = [0] * num_graphs
-    for gv, gid in enumerate(graph_of):
-        local_index[gv] = vertex_counts[gid]
-        vertex_counts[gid] += 1
-
-    node_labels = [0] * num_vertices
-    if os.path.isfile(paths["node_labels"]):
-        nl_path = paths["node_labels"]
-        lines = _read_lines(nl_path)
-        if len(lines) != num_vertices:
-            raise DatasetFormatError(
-                f"{name}_node_labels.txt has {len(lines)} lines, expected {num_vertices}"
-            )
-        for lineno, line in enumerate(lines, start=1):
-            node_labels[lineno - 1] = _parse_int(line.split(",")[0], nl_path, lineno)
-
-    a_path = paths["A"]
-    edge_lines = _read_lines(a_path)
-
-    attr_of_line: list[float] | None = None
-    if os.path.isfile(paths["edge_attributes"]):
-        ea_path = paths["edge_attributes"]
-        attr_lines = _read_lines(ea_path)
-        if len(attr_lines) != len(edge_lines):
-            raise DatasetFormatError(
-                f"{name}_edge_attributes.txt has {len(attr_lines)} lines, "
-                f"expected {len(edge_lines)}"
-            )
-        attr_of_line = []
-        warned = False
-        for lineno, line in enumerate(attr_lines, start=1):
-            cols = line.split(",")
-            if len(cols) > 1 and not warned:
-                warnings.warn(
-                    f"{name}_edge_attributes.txt: using first of {len(cols)} columns "
-                    "as the edge weight",
-                    stacklevel=3,
-                )
-                warned = True
-            attr_of_line.append(_parse_weight(cols[0], ea_path, lineno))
-
-    # Merge the directed pairs: first-seen direction supplies the weight.
-    per_graph_edges: list[dict[tuple[int, int], float]] = [{} for _ in range(num_graphs)]
-    seen_directed: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(edge_lines, start=1):
-        tokens = line.split(",")
-        if len(tokens) != 2:
-            raise DatasetFormatError(
-                f"{name}_A.txt:{lineno}: expected 'u, v', got {line!r}"
-            )
-        u = _parse_int(tokens[0], a_path, lineno) - 1
-        v = _parse_int(tokens[1], a_path, lineno) - 1
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-            raise DatasetFormatError(
-                f"{name}_A.txt:{lineno}: vertex id outside 1..{num_vertices}"
-            )
-        if graph_of[u] != graph_of[v]:
-            raise DatasetFormatError(
-                f"{name}_A.txt:{lineno}: edge joins vertices of different graphs"
-            )
-        if u == v:
-            raise DatasetFormatError(f"{name}_A.txt:{lineno}: self-loop on vertex {u + 1}")
-        if (u, v) in seen_directed:
-            raise DatasetFormatError(
-                f"{name}_A.txt:{lineno}: parallel edge ({u + 1}, {v + 1})"
-            )
-        seen_directed.add((u, v))
-        gid = graph_of[u]
-        key = (local_index[u], local_index[v])
-        if key[0] > key[1]:
-            key = (key[1], key[0])
-        if key not in per_graph_edges[gid]:
-            weight = attr_of_line[lineno - 1] if attr_of_line is not None else 0.0
-            per_graph_edges[gid][key] = weight
-
-    per_graph_labels: list[list[int]] = [[0] * c for c in vertex_counts]
-    for gv, gid in enumerate(graph_of):
-        per_graph_labels[gid][local_index[gv]] = node_labels[gv]
-
-    graphs = []
-    for gid in range(num_graphs):
-        order = sorted(per_graph_edges[gid])
-        graphs.append(
-            LabeledGraph(
-                n=vertex_counts[gid],
-                edges=tuple(order),
-                labels=tuple(per_graph_labels[gid]),
-                weights=tuple(per_graph_edges[gid][e] for e in order),
-            )
-        )
-    return GraphDataset(tuple(graphs), tuple(class_labels), name)
 
 
 def write_tud_dataset(dataset: GraphDataset, directory: str, name: str) -> None:

@@ -19,9 +19,7 @@ from wlfiltration import (
     fit_thresholds,
     fit_thresholds_auto,
     permute_graph,
-    weight_degree,
-    weight_triangles,
-    weight_walks,
+    reweight,
 )
 
 from wlfiltration import filtration
@@ -30,23 +28,29 @@ from conftest import k33_graph, path3, prism_graph, random_graph
 
 K3 = LabeledGraph.build(3, [(0, 1), (1, 2), (2, 0)])
 K4 = LabeledGraph.build(4, list(itertools.combinations(range(4), 2)))
+DEGREE = WeightFunctionSpec("degree")
+TRIANGLES = WeightFunctionSpec("triangles")
+
+
+def _walks(g: LabeledGraph, walk_length: int) -> tuple[int, ...]:
+    return compute_weights(g, WeightFunctionSpec("walks", walk_length=walk_length))
 
 
 def test_weight_degree_examples():
-    assert weight_degree(path3()) == (2, 2)
-    assert weight_degree(K3) == (2, 2, 2)
+    assert compute_weights(path3(), DEGREE) == (2, 2)
+    assert compute_weights(K3, DEGREE) == (2, 2, 2)
     star = LabeledGraph.build(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert weight_degree(star) == (4, 4, 4, 4)
+    assert compute_weights(star, DEGREE) == (4, 4, 4, 4)
 
 
 def test_weight_walks_examples():
-    assert weight_walks(K3, 2) == (2, 2, 2)
+    assert _walks(K3, 2) == (2, 2, 2)
     g = path3()
-    assert weight_walks(g, 2) == (1, 1)
+    assert _walks(g, 2) == (1, 1)
     rng = random.Random(0)
     for _ in range(10):
         h = random_graph(rng, max_n=8)
-        assert weight_walks(h, 1) == (1,) * h.edge_count
+        assert _walks(h, 1) == (1,) * h.edge_count
 
 
 def _walks_bruteforce(g: LabeledGraph, walk_length: int):
@@ -66,25 +70,25 @@ def test_weight_walks_matches_bruteforce():
     for _ in range(25):
         g = random_graph(rng, max_n=6, p=0.5)
         for lam in range(1, 5):
-            assert weight_walks(g, lam) == _walks_bruteforce(g, lam)
+            assert _walks(g, lam) == _walks_bruteforce(g, lam)
 
 
 def test_weight_walks_overflow_names_lambda():
     g = LabeledGraph.build(6, list(itertools.combinations(range(6), 2)))
     with pytest.raises(OverflowError, match="walk_length=40"):
-        weight_walks(g, 40)
+        _walks(g, 40)
     with pytest.raises(ValueError):
-        weight_walks(g, 0)
+        _walks(g, 0)
 
 
 def test_weight_triangles_witness_pair():
     prism, k33 = prism_graph(), k33_graph()
-    by_edge = dict(zip(prism.edges, weight_triangles(prism)))
+    by_edge = dict(zip(prism.edges, compute_weights(prism, TRIANGLES)))
     triangle_edges = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
     for edge, w in by_edge.items():
         assert w == (1 if edge in triangle_edges else 0)
-    assert weight_triangles(k33) == (0,) * 9
-    assert weight_triangles(K4) == (2,) * 6
+    assert compute_weights(k33, TRIANGLES) == (0,) * 9
+    assert compute_weights(K4, TRIANGLES) == (2,) * 6
 
 
 def _weight_triangles_reference(g: LabeledGraph) -> tuple[int, ...]:
@@ -141,8 +145,10 @@ def _graphs_with_isolated_vertices(draw):
 @example(g=LabeledGraph.build(0, []), walk_length=1)
 @example(g=LabeledGraph.build(4, []), walk_length=9)
 def test_walk_and_triangle_weights_match_reference(g, walk_length):
-    _assert_same_weights(weight_walks(g, walk_length), _weight_walks_reference(g, walk_length))
-    _assert_same_weights(weight_triangles(g), _weight_triangles_reference(g))
+    want = _weight_walks_reference(g, walk_length)
+    _assert_same_weights(_walks(g, walk_length), want)
+    _assert_same_weights(tuple(filtration._walk_totals(g, walk_length)), want)
+    _assert_same_weights(compute_weights(g, TRIANGLES), _weight_triangles_reference(g))
 
 
 @pytest.mark.parametrize("entries", [1, 40])
@@ -151,8 +157,9 @@ def test_walk_weights_do_not_depend_on_row_chunk(monkeypatch, entries):
     graphs = [random_graph(rng, max_n=14, p=0.3) for _ in range(20)]
     monkeypatch.setattr(filtration, "_WALK_CHUNK_ENTRIES", entries)
     for g in graphs:
-        _assert_same_weights(weight_walks(g, 5), _weight_walks_reference(g, 5))
-        _assert_same_weights(weight_triangles(g), _weight_triangles_reference(g))
+        _assert_same_weights(tuple(filtration._walk_totals(g, 5)), _weight_walks_reference(g, 5))
+        _assert_same_weights(tuple(w - 1 for w in filtration._walk_totals(g, 2)),
+                             _weight_triangles_reference(g))
 
 
 def _complete_graph(n: int) -> LabeledGraph:
@@ -168,7 +175,7 @@ def _complete_graph(n: int) -> LabeledGraph:
 def test_walk_weights_near_64_bits_match_reference(n, walk_length, dtype):
     assert filtration._count_dtype(walk_length, n - 1) is dtype
     g = _complete_graph(n)
-    _assert_same_weights(weight_walks(g, walk_length), _weight_walks_reference(g, walk_length))
+    _assert_same_weights(_walks(g, walk_length), _weight_walks_reference(g, walk_length))
 
 
 def test_walk_weights_overflow_at_k3_lambda_65():
@@ -176,7 +183,7 @@ def test_walk_weights_overflow_at_k3_lambda_65():
     with pytest.raises(OverflowError, match="walk_length=65"):
         _weight_walks_reference(g, 65)
     with pytest.raises(OverflowError, match="walk_length=65"):
-        weight_walks(g, 65)
+        _walks(g, 65)
 
 
 def _degree_reference(g: LabeledGraph) -> tuple[int, ...]:
@@ -446,10 +453,10 @@ def test_filtration_graph_boundaries():
 
 
 def test_filtration_graph_triangle_level():
-    prism = prism_graph().with_weights(weight_triangles(prism_graph()))
+    prism = reweight(prism_graph(), TRIANGLES)
     level1 = filtration_graph(prism, 1)
     assert set(level1.edges) == {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
-    k33 = k33_graph().with_weights(weight_triangles(k33_graph()))
+    k33 = reweight(k33_graph(), TRIANGLES)
     assert filtration_graph(k33, 1).edges == ()
 
 
@@ -457,7 +464,7 @@ def test_nestedness_and_last_level():
     rng = random.Random(17)
     for _ in range(20):
         g = random_graph(rng, max_n=10)
-        g = g.with_weights(weight_degree(g))
+        g = reweight(g, DEGREE)
         filt = fit_thresholds_auto(g.weights) if g.edges else None
         if filt is None:
             continue

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from wlfiltration import __version__
+from wlfiltration import __version__, graphs
 from wlfiltration.cli import main
 
 MINI = ["--name", "MINI20", "--weights", "degree", "--k", "4", "--h", "2"]
@@ -35,6 +35,30 @@ def _digest(argv, out) -> str:
 def test_mini_gram_bytes_are_golden(tmp_path, mini_tud_dir, run):
     argv, want = GOLDEN[run]
     assert _digest(["--dataset", mini_tud_dir, *argv], tmp_path / "gram") == want
+
+
+def test_mini_gram_bytes_through_the_line_reader(tmp_path, mini_tud_dir, monkeypatch):
+    # CRLF line ends and `,\t` separators are outside the bulk grammar
+    data = tmp_path / "crlf"
+    data.mkdir()
+    names = [f"MINI20_{key}.txt" for key in ("A", "graph_indicator", "graph_labels", "node_labels")]
+    assert sorted(f for f in os.listdir(mini_tud_dir) if f.startswith("MINI20_")) == names
+    for file_name in names:
+        with open(os.path.join(mini_tud_dir, file_name), encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        assert "\r" not in text and "\t" not in text
+        (data / file_name).write_bytes(text.replace(", ", ",\t").replace("\n", "\r\n").encode())
+    read = set()
+    parse = graphs._parse_lines
+
+    def recording(path, kind):
+        read.add(os.path.basename(path))
+        return parse(path, kind)
+
+    monkeypatch.setattr(graphs, "_parse_lines", recording)
+    argv, want = GOLDEN["linear-csv"]
+    assert _digest(["--dataset", str(data), *argv], tmp_path / "gram") == want
+    assert sorted(read) == names
 
 
 def test_csl20_walks_gram_bytes_are_golden(tmp_path):

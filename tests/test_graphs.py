@@ -5,22 +5,26 @@ import os
 import random
 import tempfile
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlfiltration import (
     DatasetFormatError,
+    GraphDataset,
     LabeledGraph,
     load_tud_dataset,
     permute_graph,
     write_tud_dataset,
 )
 from wlfiltration import graphs
-from wlfiltration.csl import csl_graph
+from wlfiltration.csl import csl_graph, generate_csl_benchmark
 
 from conftest import path3, random_dataset, random_graph
+from tud_reference import load_lines
 
 
 def test_build_canonicalizes_edges():
@@ -275,12 +279,11 @@ def test_load_ptc_mr_statistics():
     assert len(labels) == 18
 
 
-# The bulk loader against the line parser. Each case is a dataset whose
-# files are the TUDataset text of a small weighted dataset, one of them
-# edited. `load_tud_dataset` must give what `_load_lines` gives: the same
-# dataset (compared by repr, so int/float types count) with the same
-# warnings, or the same error. When `_load_bulk` accepts a case itself, its
-# result must be that dataset too.
+# The loader against the reference line parser of `tud_reference`. Each case
+# is a dataset whose files are the TUDataset text of a small weighted
+# dataset, one of them edited. `load_tud_dataset` must give what
+# `load_lines` gives: the same dataset (compared by repr, so int/float types
+# count) with the same warnings, or the same error.
 
 def _base_files(weighted: bool = True) -> dict[str, str]:
     """Three graphs on vertices 1-3, 4-5 and 6-9, as TUDataset file texts."""
@@ -323,7 +326,7 @@ def _set(key, text):
     return apply
 
 
-# (case id, edit, whether the bulk path must accept the result)
+# (case id, edit, whether no file goes to the line reader `_parse_lines`)
 _LOADER_CASES = [
     ("as written", None, True),
     ("unweighted", _drop("edge_attributes"), True),
@@ -346,7 +349,7 @@ _LOADER_CASES = [
                                                  "-0.0\n-0.0\n2\n2\n"), True),
     ("second direction first", _edit("A", "1, 2\n2, 1\n", "2, 1\n1, 2\n"), True),
     ("directions weighted apart", _edit("edge_attributes", "0.5\n0.5\n", "0.5\n0.75\n"), True),
-    ("one direction only", _edit("A", "2, 1\n", ""), False),
+    ("one direction only", _edit("A", "2, 1\n", ""), True),
     ("crlf", _edit_all("\n", "\r\n"), False),
     ("blank lines", _edit("graph_indicator", "1\n1\n", "1\n\n1\n"), False),
     ("blank final line", _edit("graph_labels", "1\n0\n1\n", "1\n0\n1\n\n"), False),
@@ -364,8 +367,8 @@ _LOADER_CASES = [
     ("comma last", _edit("A", "1, 2", "1, "), False),
     ("double space", _edit("A", "1, 2", "1,  2"), False),
     ("negative vertex id", _edit("A", "1, 2", "-1, 2"), False),
-    ("zero vertex id", _edit("A", "1, 2", "0, 2"), False),
-    ("vertex id above range", _edit("A", "1, 2", "1, 10"), False),
+    ("zero vertex id", _edit("A", "1, 2", "0, 2"), True),
+    ("vertex id above range", _edit("A", "1, 2", "1, 10"), True),
     ("vertex id of 2**63", _edit("A", "1, 2", "9223372036854775808, 2"), False),
     ("class label of 2**63", _edit("graph_labels", "0\n", "9223372036854775808\n"), False),
     ("node label of 2**64 + 1", _edit("node_labels", "7\n", "18446744073709551617\n"), False),
@@ -373,24 +376,41 @@ _LOADER_CASES = [
     ("19 digits", _edit("graph_labels", "0\n", "1000000000000000000\n"), False),
     ("minus inside a line", _edit("graph_labels", "0\n", "5-3\n"), False),
     ("lone minus", _edit("graph_labels", "0\n", "-\n"), False),
-    ("parallel directed pair", _edit("A", "2, 1\n", "1, 2\n"), False),
-    ("cross-graph edge", _edit("A", "4, 5", "3, 5"), False),
-    ("self-loop", _edit("A", "1, 2", "2, 2"), False),
-    ("indicator out of range", _edit("graph_indicator", "3\n", "4\n"), False),
-    ("indicator of zero", _edit("graph_indicator", "1\n", "0\n"), False),
-    ("no graphs", _set("graph_labels", ""), False),
-    ("node label count", _edit("node_labels", "7\n", ""), False),
+    ("parallel directed pair", _edit("A", "2, 1\n", "1, 2\n"), True),
+    ("cross-graph edge", _edit("A", "4, 5", "3, 5"), True),
+    ("self-loop", _edit("A", "1, 2", "2, 2"), True),
+    ("indicator out of range", _edit("graph_indicator", "3\n", "4\n"), True),
+    ("indicator of zero", _edit("graph_indicator", "1\n", "0\n"), True),
+    ("no graphs", _set("graph_labels", ""), True),
+    ("node label count", _edit("node_labels", "7\n", ""), True),
     ("two node label columns", _edit_all("\n5\n", "\n5, 1\n"), False),
-    ("attribute count", _edit("edge_attributes", "7.0\n", ""), False),
+    ("attribute count", _edit("edge_attributes", "7.0\n", ""), True),
     ("NaN attribute", _edit("edge_attributes", "3.0\n3.0", "nan\nnan"), False),
     ("inf attribute", _edit("edge_attributes", "3.0\n3.0", "inf\ninf"), False),
-    ("overflowing attribute", _edit("edge_attributes", "3.0\n3.0", "1e400\n1e400"), False),
-    ("negative attribute", _edit("edge_attributes", "3.0\n3.0", "-3.0\n-3.0"), False),
+    ("overflowing attribute", _edit("edge_attributes", "3.0\n3.0", "1e400\n1e400"), True),
+    ("negative attribute", _edit("edge_attributes", "3.0\n3.0", "-3.0\n-3.0"), True),
     ("hex attribute", _edit("edge_attributes", "3.0", "0x1p3"), False),
     ("two dots", _edit("edge_attributes", "3.0", "3.0.0"), False),
     ("bare exponent", _edit("edge_attributes", "3.0", "e5"), False),
     ("underscore attribute", _edit("edge_attributes", "3.0", "3_0.0"), False),
     ("multi-column attributes", _edit_all(".5\n", ".5, 9, 9\n"), False),
+    ("wide attribute line after a fault", _set("edge_attributes", "0.5\n0.5\nq\n1.25, 9\n"
+                                                 "3.0\n3.0\n1e-05\n1e-05\n0.1\n0.1\n7.0\n7.0\n"),
+     False),
+    ("wide attribute line at a fault", _set("edge_attributes", "0.5\n0.5\n-1, 9\n1.25\n"
+                                              "3.0\n3.0\n1e-05\n1e-05\n0.1\n0.1\n7.0\n7.0\n"),
+     False),
+    ("attribute after blank lines", lambda f: f.update(A="1, 2\n2, 1\n",
+                                                        edge_attributes="1.5\n\n\nq\n"), False),
+    ("attribute after blank CRLF lines", lambda f: f.update(
+        A="1, 2\n2, 1\n", edge_attributes="1.5\r\n\r\n\r\nq\r\n"), False),
+    ("edge fault before a token fault", _edit("A", "2, 3\n3, 2\n", "2, 2\n3, x\n"), False),
+    ("token fault before an edge fault", _edit("A", "2, 3\n3, 2\n", "2, x\n3, 3\n"), False),
+    ("self-loop after a blank line", _edit("A", "2, 3\n3, 2\n", "\n2, 3\n3, 3\n"), False),
+    ("negative attribute after a blank line", _edit("edge_attributes", "3.0\n3.0",
+                                                    "\n-3.0\n-3.0"), False),
+    ("token fault after a blank line", _edit("A", "2, 3\n3, 2\n4, 5\n",
+                                             "2, 3\n\n3, 2\n4, 5, 6\n"), False),
 ]
 
 
@@ -413,18 +433,18 @@ def _outcome(load, *args):
 
 
 def _assert_loaders_agree(directory, name) -> bool:
-    """Whether `_load_bulk` accepted the files; asserts both loaders agree."""
-    paths = graphs._dataset_paths(directory, name)
-    want = _outcome(graphs._load_lines, paths, name)
-    assert _outcome(load_tud_dataset, directory, name) == want
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bulk = graphs._load_bulk(paths, name)
-    except graphs._NotBulk:
-        return False
-    assert (repr(bulk), []) == want
-    return True
+    """Whether no file went to the line reader; asserts the loader matches the reference."""
+    want = _outcome(load_lines, graphs._dataset_paths(directory, name), name)
+    read = []
+    parse = graphs._parse_lines
+
+    def recording(path, kind):
+        read.append(path)
+        return parse(path, kind)
+
+    with mock.patch.object(graphs, "_parse_lines", recording):
+        assert _outcome(load_tud_dataset, directory, name) == want
+    return not read
 
 
 @pytest.mark.parametrize("edit, bulk", [(e, b) for _, e, b in _LOADER_CASES],
@@ -445,6 +465,53 @@ def test_bulk_loader_warns_once_for_extra_attribute_columns(tmp_path):
         ds = load_tud_dataset(str(tmp_path), "X")
     assert len(caught) == 1
     assert ds.graphs[0].weights == (0.5, 1.25)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_load_names_the_true_line_after_blank_lines(tmp_path, newline):
+    files = _base_files()
+    files.update(A="1, 2\n2, 1\n", edge_attributes=newline.join(["1.5", "", "", "q", ""]))
+    _write_files(str(tmp_path), "X", files)
+    with pytest.raises(DatasetFormatError) as caught:
+        load_tud_dataset(str(tmp_path), "X")
+    assert str(caught.value) == "X_edge_attributes.txt:4: non-numeric token 'q'"
+
+
+def _edgeless_dataset():
+    graphs_ = tuple(LabeledGraph.build(n, [], [n % 3] * n) for n in (1, 4, 0, 2))
+    return GraphDataset(graphs_, (0, 1, 1, 0), "edgeless")
+
+
+def _weighted_random_dataset():
+    ds = random_dataset(31, 12, max_n=12)
+    rng = random.Random(31)
+    graphs_ = tuple(g.with_weights([rng.uniform(0, 5) for _ in g.edges]) for g in ds.graphs)
+    return GraphDataset(graphs_, ds.class_labels, ds.name)
+
+
+@pytest.mark.parametrize("make", [_weighted_random_dataset,
+                                  lambda: generate_csl_benchmark(copies=1),
+                                  _edgeless_dataset], ids=["weighted", "csl", "edgeless"])
+def test_written_files_never_reach_the_line_reader(tmp_path, monkeypatch, make):
+    dataset = make()
+    write_tud_dataset(dataset, str(tmp_path), "W")
+
+    def refuse(path, kind):
+        raise AssertionError(f"{path} went to the line reader")
+
+    monkeypatch.setattr(graphs, "_parse_lines", refuse)
+    back = load_tud_dataset(str(tmp_path), "W")
+    assert back.graphs == dataset.graphs
+    assert back.class_labels == dataset.class_labels
+
+
+def test_pair_keys_stay_exact_past_int64():
+    a, b = np.array([3, 0, 3]), np.array([1, 2, 0])
+    n = 2**62  # 3 * n + 1 is past the int64 range
+    keys = graphs._pair_keys(a, b, n)
+    assert keys.tolist() == [3 * n + 1, 2, 3 * n]
+    assert np.argsort(keys, kind="stable").tolist() == [1, 2, 0]
+    assert graphs._pair_keys(a, b, 4).dtype == np.int64
 
 
 _FUZZ_ALPHABET = "0123456789,- \n\r\t+._eE١"

@@ -19,7 +19,7 @@ from wlfiltration import (
     extract_all,
     generate_csl_benchmark,
     permute_graph,
-    weight_triangles,
+    reweight,
 )
 from wlfiltration import wl
 from wlfiltration.kernels import reweight_dataset
@@ -49,7 +49,7 @@ def test_refine_path_separates_degrees():
 
 def test_refine_distinguishes_triangle_level():
     # level-1 filtration graphs of the two 3-regular witnesses
-    triangles = prism_graph().with_weights(weight_triangles(prism_graph()))
+    triangles = reweight(prism_graph(), WeightFunctionSpec("triangles"))
     level1 = LabeledGraph(6, tuple(e for e, w in zip(triangles.edges, triangles.weights) if w >= 1),
                           triangles.labels,
                           tuple(w for w in triangles.weights if w >= 1))
