@@ -41,9 +41,9 @@ from .transport import (
     wasserstein_cdf_points,
     wasserstein_matching,
 )
-from .wl import FeatureCounts, LabelInterner, extract_all
+from .wl import FeatureCounts, extract_all
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "DatasetFormatError",
@@ -53,7 +53,6 @@ __all__ = [
     "GraphDataset",
     "GroundLine",
     "KernelConfig",
-    "LabelInterner",
     "LabeledGraph",
     "RunManifest",
     "WeightFunctionSpec",

@@ -20,7 +20,7 @@ from .gram_io import (
 )
 from .graphs import load_tud_dataset, write_tud_dataset
 from .kernels import KernelConfig, build_filtration, gram_matrix, reweight_dataset
-from .wl import LabelInterner, extract_all
+from .wl import extract_all
 
 _VARIANT_FLAG = {"linear": "linear_combination", "product": "product"}
 
@@ -185,10 +185,9 @@ def run_inspect(args: argparse.Namespace) -> None:
         edges = len(pooled) - bisect.bisect_left(pooled, alpha)
         print(f"level {level}: alpha={alpha} edges={edges}")
 
-    interner = LabelInterner()
-    store = extract_all(weighted.graphs, filtration, args.h, interner)
+    store = extract_all(weighted.graphs, filtration, args.h)
     sizes = np.bincount(store.graph, minlength=store.num_graphs)
-    print(f"features: {len(interner)} distinct labels")
+    print(f"features: {len(store.depth)} distinct labels")
     print(
         f"table sizes: min={sizes.min()} mean={len(store.graph) / len(sizes):.1f} "
         f"max={sizes.max()}"

@@ -385,14 +385,14 @@ class _NotBulk(Exception):
     """A file outside the bulk grammar."""
 
 
-# The bulk grammar. Files hold only ASCII and end in at most one newline.
-# An integer file has one integer per line, with an optional leading `-`;
-# an edge file has `u, v` or `u,v` per line; an attribute file has one
-# number per line that `float()` reads. No line is blank. `int()` and
-# `float()` accept more (CR, tabs, `+5`, `1_000`, non-ASCII digits, extra
-# columns); such files go to `_parse_lines`. The checks are byte-array
-# scans: a whole-file regex with a repeated group would cost megabytes of
-# match state on a large file.
+# The bulk grammar. Files hold only ASCII, with LF or CRLF line ends, and
+# end in at most one newline. An integer file has one integer per line,
+# with an optional leading `-`; an edge file has `u, v` or `u,v` per line;
+# an attribute file has one number per line that `float()` reads. No line
+# is blank. `int()` and `float()` accept more (a lone CR, tabs, `+5`,
+# `1_000`, non-ASCII digits, extra columns); such files go to
+# `_parse_lines`. The checks are byte-array scans: a whole-file regex with
+# a repeated group would cost megabytes of match state on a large file.
 _DIGIT_0, _COMMA, _MINUS, _NEWLINE = b"0,-\n"
 _INT_BYTES = b"0123456789-\n"
 _PAIR_BYTES = b"0123456789, \n"
@@ -401,9 +401,12 @@ _NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
 
 
 def _read_grammar(path: str, allowed: bytes) -> bytes:
-    """A file's bytes without their final newline, if it holds only `allowed` bytes."""
+    """A file's bytes without their final newline, if it holds only `allowed` bytes.
+
+    CRLF line ends count as LF; a lone CR stays and leaves the grammar.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().replace(b"\r\n", b"\n")
     if data.endswith(b"\n"):
         data = data[:-1]
     if data.translate(None, allowed):

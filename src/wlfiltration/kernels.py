@@ -18,7 +18,7 @@ from .filtration import (
 )
 from .graphs import GraphDataset
 from .transport import GroundLine
-from .wl import FeatureCounts, LabelInterner, extract_all
+from .wl import FeatureCounts, extract_all
 
 VARIANTS = ("linear_combination", "product")
 
@@ -203,7 +203,7 @@ def gram_matrix_for_filtration(
         raise ValueError("dataset contains a graph with zero vertices")
     weighted = [reweight(g, spec) for g in dataset.graphs]
 
-    store = extract_all(weighted, filtration, config.h, LabelInterner())
+    store = extract_all(weighted, filtration, config.h)
     values = assemble_gram(store, GroundLine(filtration.thresholds), config)
 
     if config.normalize:

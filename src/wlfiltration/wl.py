@@ -5,51 +5,12 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .filtration import Filtration
 from .graphs import LabeledGraph
-
-
-class LabelInterner:
-    """Injective map from label-refinement keys to dense integer ids.
-
-    Initial (depth-0) labels and refined labels share one id space; each id
-    remembers the refinement depth it was created at. Interning order fixes
-    the ids, so runs that insert in the same order agree bit-for-bit.
-    """
-
-    def __init__(self):
-        self._initial: dict[int, int] = {}
-        self._refined: dict[tuple[int, tuple[int, ...]], int] = {}
-        self.depth_of: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.depth_of)
-
-    def register_initial(self, raw_labels: Iterable[int]) -> None:
-        """Pre-intern an initial alphabet so its ids occupy the first block."""
-        for raw in sorted(set(raw_labels)):
-            self.initial_id(raw)
-
-    def initial_id(self, raw_label: int) -> int:
-        lid = self._initial.get(raw_label)
-        if lid is None:
-            lid = len(self.depth_of)
-            self._initial[raw_label] = lid
-            self.depth_of[lid] = 0
-        return lid
-
-    def refined_id(self, prev: int, neighborhood: tuple[int, ...]) -> int:
-        key = (prev, neighborhood)
-        lid = self._refined.get(key)
-        if lid is None:
-            lid = len(self.depth_of)
-            self._refined[key] = lid
-            self.depth_of[lid] = self.depth_of[prev] + 1
-        return lid
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +22,14 @@ class FeatureCounts:
     and pairs that do not occur have no row. Rows are sorted by (feature,
     graph), so the graphs sharing a feature form one contiguous block: the
     sparse graph x feature matrix of a WL kernel, with a histogram per entry.
+    `depth[f]` is the WL round that made feature f (0 for an initial label);
+    there is one entry per feature id, so its length is the feature count.
     """
 
     graph: np.ndarray
     feature: np.ndarray
     counts: np.ndarray
+    depth: np.ndarray
     num_graphs: int
 
     @property
@@ -73,56 +37,49 @@ class FeatureCounts:
         return self.counts.shape[1]
 
 
-# Size of one batch of consecutive graphs, counted as 2*m + n arc and vertex
-# entries per refined level copy: the union's index arrays stay this small
-# however large the dataset. A graph larger than this is a batch alone.
-_BATCH_ENTRIES = 1 << 13
+class LabelInterner:
+    """Deprecated placeholder: `extract_all` numbers the labels itself.
+
+    Callers written for version 0.7.0 pass one to `extract_all`, which
+    ignores it; it holds nothing.
+    """
 
 
 def extract_all(
     graphs: Sequence[LabeledGraph],
     filtration: Filtration,
     h: int,
-    interner: LabelInterner,
+    interner: LabelInterner | None = None,
     threads: int = 1,
 ) -> FeatureCounts:
     """Count every depth-0..h WL label on every filtration graph of every graph.
 
     Level i of a feature's histogram is the number of vertices carrying that
     label on the i-th filtration graph; labels never observed have no row.
-    `interner` must be empty. Its ids are those of interning each graph in
-    dataset order, level by level, round by round and vertex by vertex: the
-    sorted initial alphabet first, then each refined label at its first
-    occurrence in that order.
+    The feature ids are those of interning every label in dataset order,
+    graph by graph, level by level, round by round and vertex by vertex: the
+    sorted initial alphabet first, then each refined label, the key (old
+    label, sorted neighbour labels), at its first occurrence in that order.
 
     The filtration graphs are nested, so a level that adds no edge to a graph
     has the labels of the level before it. Only level 0 and the levels where
     some edge of the graph first appears are refined; the counts of the
     others are copied from the last refined level below them. A repeated
-    level interns nothing new, so skipping it leaves the ids as they are.
-    The refined copies of a batch of consecutive graphs are refined together
-    as one disjoint union with array passes (see `_refine_batch`), so the
-    Python work is per distinct label per batch. `threads` is accepted for
-    compatibility and ignored; the result never depended on it.
+    level holds no label that is new in that order, so skipping it leaves
+    the ids as they are. The refined copies of all graphs are refined
+    together as one disjoint union with array passes (see `_refine`), so no
+    Python work is done per label. `interner` and `threads` are accepted for
+    callers written for version 0.7.0 and ignored; the result never
+    depended on them.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
-    if len(interner):
-        raise ValueError(
-            f"extract_all needs an empty LabelInterner, got one holding {len(interner)} labels"
-        )
-    interner.register_initial(raw for g in graphs for raw in g.labels)
-    # the interner's int object of each id, so that its keys share one object
-    # per id instead of holding a copy per occurrence
-    id_objects = list(interner.depth_of)
     k = len(filtration)
     ascending = filtration.thresholds[::-1]
-    initial = interner._initial
+    alphabet = {raw: i for i, raw in enumerate(sorted({raw for g in graphs for raw in g.labels}))}
     n = np.array([g.n for g in graphs], dtype=np.int64)
     m = np.array([len(g.edges) for g in graphs], dtype=np.int64)
-    vertex_end = np.cumsum(n)
-    edge_end = np.cumsum(m)
-    labels0 = np.fromiter((initial[raw] for g in graphs for raw in g.labels),
+    labels0 = np.fromiter((alphabet[raw] for g in graphs for raw in g.labels),
                           dtype=np.int64, count=int(n.sum()))
     ends = np.fromiter(itertools.chain.from_iterable(e for g in graphs for e in g.edges),
                        dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
@@ -133,37 +90,46 @@ def extract_all(
     first = np.fromiter((k - bisect.bisect_right(ascending, w) for g in graphs for w in g.weights),
                         dtype=np.int64, count=int(m.sum()))
     # refined[g, i]: level i of graph g differs from level i - 1 (level 0
-    # always counts); source[g, i]: the last refined level at or below i
+    # always counts)
     refined = np.zeros((len(graphs), k), dtype=bool)
     refined[:, 0] = True
     on_levels = first < k
     refined[np.repeat(np.arange(len(graphs)), m)[on_levels], first[on_levels]] = True
-    source = np.maximum.accumulate(np.where(refined, np.arange(k), 0), axis=1)
 
-    empty = np.empty(0, dtype=np.int64)
-    parts = [(empty, empty, np.empty((0, k), dtype=np.int64))]
-    cost = (2 * m + n) * refined.sum(axis=1)
-    lo = 0
-    while lo < len(graphs):
-        hi, total = lo + 1, cost[lo]
-        while hi < len(graphs) and total + cost[hi] <= _BATCH_ENTRIES:
-            total += cost[hi]
-            hi += 1
-        v0, v1 = vertex_end[lo] - n[lo], vertex_end[hi - 1]
-        e0, e1 = edge_end[lo] - m[lo], edge_end[hi - 1]
-        graph, fid, counts = _refine_batch(n[lo:hi], m[lo:hi], labels0[v0:v1], ends[e0:e1],
-                                           first[e0:e1], refined[lo:hi], h, interner,
-                                           id_objects)
-        counts = np.take_along_axis(counts, source[lo:hi][graph], axis=1)
-        parts.append((graph + lo, fid, counts))
-        lo = hi
-    graph, feature, counts = map(np.concatenate, zip(*parts))
-    del parts  # the batches go before the sorted copies are made
-    order = np.lexsort((graph, feature))
-    return FeatureCounts(graph[order], feature[order], counts[order], num_graphs=len(graphs))
+    labels, depth = _refine(n, m, labels0, ends, first, refined, h, len(alphabet))
+    # A vertex of copy (g, i) labelled f falls in cell (f * graphs + g) * k + i.
+    # Round by round, so that one round's sort is alive at a time; the
+    # rounds' ids are disjoint, and so are their cells.
+    num_graphs = max(len(graphs), 1)
+    copy_graph, copy_level = np.nonzero(refined)
+    place = np.repeat(copy_graph * k + copy_level, n[copy_graph])
+    cells, tallies = [], []
+    for round_labels in labels:
+        cell, tally = np.unique(round_labels * (num_graphs * k) + place, return_counts=True)
+        cells.append(cell)
+        tallies.append(tally)
+    del labels, place
+    cell = np.concatenate(cells)
+    # each round's cells are sorted already: a stable sort merges the runs
+    order = np.argsort(cell, kind="stable")
+    cell, tally = cell[order], np.concatenate(tallies)[order]
+    del cells, tallies, order
+    key = cell // k  # one row per (feature, graph)
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    row = np.cumsum(new) - 1
+    key = key[new]
+    counts = np.zeros((len(key), k), dtype=np.int64)
+    counts[row, cell % k] = tally
+    graph = key % num_graphs
+    # a level that adds no edge to a graph repeats the level below it
+    repeated = ~refined[graph]
+    for i in range(1, k):
+        np.copyto(counts[:, i], counts[:, i - 1], where=repeated[:, i])
+    return FeatureCounts(graph, key // num_graphs, counts, depth, num_graphs=len(graphs))
 
 
-def _refine_batch(
+def _refine(
     n: np.ndarray,
     m: np.ndarray,
     labels0: np.ndarray,
@@ -171,78 +137,121 @@ def _refine_batch(
     first: np.ndarray,
     refined: np.ndarray,
     h: int,
-    interner: LabelInterner,
-    id_objects: list[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """WL labels of the refined level copies of a few graphs; (graph, feature, counts) rows.
+    alphabet: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """WL labels of the refined level copies of all graphs; (labels, depth).
 
     `n`/`m` are the graphs' vertex and edge counts, `labels0` their initial
-    ids, `ends` their edges (graph-local endpoints) and `first` each edge's
-    first level (k: on no level). `refined` is a (graphs, k) mask of the
-    level copies to refine, level 0 of every graph among them. The copies are
-    numbered in (graph, level) order; each holds its graph's vertices and the
-    edges of its level. Counts land in the column of the copy's level and
-    the other columns stay 0. The ids this interns are appended to
-    `id_objects`.
+    ids (below `alphabet`), `ends` their edges (graph-local endpoints) and
+    `first` each edge's first level (k: on no level). `refined` is a
+    (graphs, k) mask of the level copies to refine, level 0 of every graph
+    among them. The copies are numbered in (graph, level) order and form one
+    disjoint union; each holds its graph's vertices and the edges of its
+    level. `labels[r]` holds the round-r id of every vertex of the union and
+    `depth[f]` the round of id f.
 
     One round sorts the arcs by (source, neighbour label) and builds each
     vertex's signature one neighbour column at a time as the 1-D `np.unique`
     inverse of sig * width + label; each column's classes get fresh numbers,
-    so vertices of different degree never share one. One representative per
-    class is then looked up by its exact key (label, sorted neighbour
-    labels). A key the interner lacks gets a temporary id >= `base`; at the
-    end, temporary ids become interner ids in order of first occurrence by
-    (graph, level, round, vertex), the order a vertex-by-vertex pass would
-    intern them in.
+    so vertices of different degree never share one. The classes are then
+    exactly the distinct keys (label, sorted neighbour labels) of the round,
+    across the whole union. Every class of every round is given the rank of
+    its first vertex in (graph, level, round, vertex) order, after the
+    initial alphabet: the id a vertex-by-vertex pass would intern it as.
     """
-    k = refined.shape[1]
-    copy_graph, copy_level = np.nonzero(refined)
+    copy_graph = np.nonzero(refined)[0]
     size = n[copy_graph]
     copy_start = np.cumsum(size) - size
     total = int(size.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty((0, k), dtype=np.int64)
     copy_of = np.repeat(np.arange(len(size)), size)
     local = np.arange(total) - copy_start[copy_of]
     labels = np.empty((h + 1, total), dtype=np.int64)
     labels[0] = labels0[(np.cumsum(n) - n)[copy_graph[copy_of]] + local]
+    if not h or not total:
+        return labels, np.zeros(alphabet, dtype=np.int64)
+    classes = _classes(n, m, ends, first, refined, copy_start, total, labels)
 
-    if h:
-        # an edge is in the copy of its first level (refined by definition)
-        # and in every later copy of its graph
-        live = first < k
-        edge_graph = np.repeat(np.arange(len(n)), m)[live]
-        copy_id = np.cumsum(refined.ravel()).reshape(refined.shape) - 1
-        start_copy = copy_id[edge_graph, first[live]]
-        present = copy_id[edge_graph, -1] - start_copy + 1
-        edge = np.repeat(np.flatnonzero(live), present)
-        run_start = np.repeat(np.cumsum(present) - present, present)
-        offset = copy_start[np.repeat(start_copy, present) + np.arange(len(edge)) - run_start]
-        u = offset + ends[edge, 0]
-        v = offset + ends[edge, 1]
-        src = np.concatenate((u, v))
-        dst = np.concatenate((v, u))
-        degree = np.bincount(src, minlength=total)
-        start = np.cumsum(degree) - degree
-        # the sorted arcs' sources never change; column j holds each vertex's
-        # j-th arc, ordered by vertex
-        rank = np.arange(len(src)) - np.repeat(start, degree)
-        column = np.argsort(rank, kind="stable")
-        column_vertex = np.repeat(np.arange(total), degree)[column]
-        column_end = np.cumsum(np.bincount(rank)).tolist()
+    # Position of a vertex's round-r label in (graph, level, round, vertex)
+    # order: the copies' blocks of h * size labels follow each other.
+    position = []
+    for r, first_vertex in enumerate(classes, start=1):
+        c = copy_of[first_vertex]
+        position.append(copy_start[c] * h + (r - 1) * size[c] + local[first_vertex])
+    num_classes = [len(f) for f in classes]
+    rank = np.empty(sum(num_classes), dtype=np.int64)
+    rank[np.argsort(np.concatenate(position))] = np.arange(len(rank))
+    final = alphabet + rank
+    offset = 0
+    for r, count in enumerate(num_classes, start=1):
+        labels[r] = final[offset + labels[r]]
+        offset += count
+    depth = np.zeros(alphabet + len(rank), dtype=np.int64)
+    depth[final] = np.repeat(np.arange(1, h + 1), num_classes)
+    return labels, depth
 
-    base = len(interner)
-    known = interner._refined
-    fresh: dict[tuple[int, tuple[int, ...]], int] = {}
-    for r in range(1, h + 1):
+
+def _classes(
+    n: np.ndarray,
+    m: np.ndarray,
+    ends: np.ndarray,
+    first: np.ndarray,
+    refined: np.ndarray,
+    copy_start: np.ndarray,
+    total: int,
+    labels: np.ndarray,
+) -> list[np.ndarray]:
+    """Fill labels[1:] with each round's classes; per round, each class's first vertex.
+
+    The arguments are those of `_refine`, plus each copy's first vertex in
+    the union and the union's size; `labels[0]` holds the initial ids. Round
+    r numbers its classes 0, 1, ... in `labels[r]` (in signature order) and
+    returns the union index of each class's first vertex. The arrays of the
+    union's arcs live only here.
+    """
+    k = refined.shape[1]
+    # an edge is in the copy of its first level (refined by definition)
+    # and in every later copy of its graph
+    live = first < k
+    edge_graph = np.repeat(np.arange(len(n)), m)[live]
+    copy_id = np.cumsum(refined.ravel()).reshape(refined.shape) - 1
+    start_copy = copy_id[edge_graph, first[live]]
+    present = copy_id[edge_graph, -1] - start_copy + 1
+    edge = np.repeat(np.flatnonzero(live), present)
+    # copies start_copy, start_copy + 1, ... of each edge
+    copy = np.repeat(start_copy - np.cumsum(present) + present, present) + np.arange(len(edge))
+    del edge_graph, copy_id, start_copy, present
+    offset = copy_start[copy]
+    u = offset + ends[edge, 0]
+    v = offset + ends[edge, 1]
+    del edge, copy, offset
+    # the arcs, sorted by (source, target); only the targets and the
+    # degrees are kept, so that few arrays of arc length are alive at once
+    arc = np.concatenate((u * total + v, v * total + u))
+    del u, v
+    arc.sort()
+    degree = np.bincount(arc // total, minlength=total)
+    dst = np.remainder(arc, total, out=arc)
+    # column j holds each vertex's j-th arc, ordered by vertex
+    rank = np.arange(len(dst))
+    rank -= np.repeat(np.cumsum(degree) - degree, degree)
+    column = np.argsort(rank, kind="stable")
+    column_end = np.cumsum(np.bincount(rank)).tolist()
+    del rank
+
+    firsts = []
+    for r in range(1, len(labels)):
         cur = labels[r - 1]
-        neighbour = cur[dst]
-        neighbour = neighbour[np.lexsort((neighbour, src))]
         width = int(cur.max()) + 1
+        # source * width + neighbour label per arc, sorted: each vertex's
+        # neighbour labels in order; then laid out by column and split
+        by_column = np.repeat(np.arange(total) * width, degree)
+        by_column += cur[dst]
+        by_column.sort()
+        by_column = by_column[column]
+        column_vertex = by_column // width
+        by_column %= width
         sig = cur.copy()
         next_sig = width
-        by_column = neighbour[column]
         col_lo = 0
         for col_hi in column_end:
             vs = column_vertex[col_lo:col_hi]
@@ -251,45 +260,6 @@ def _refine_batch(
             sig[vs] = inverse + next_sig
             next_sig += len(values)
             col_lo = col_hi
-        _, rep, cls = np.unique(sig, return_index=True, return_inverse=True)
-        neighbours = neighbour.tolist()
-        ids = []
-        for p, s, d in zip(cur[rep].tolist(), start[rep].tolist(), degree[rep].tolist()):
-            key = (p, tuple(neighbours[s:s + d]))
-            lid = known.get(key)
-            if lid is None:
-                lid = fresh.setdefault(key, base + len(fresh))
-            ids.append(lid)
-        labels[r] = np.array(ids, dtype=np.int64)[cls]
-
-    if fresh:
-        # every refined label at its (graph, level, round, vertex) position
-        sequence = np.empty(h * total, dtype=np.int64)
-        at = copy_start[copy_of] * h + local
-        step = size[copy_of]
-        for r in range(1, h + 1):
-            sequence[at + (r - 1) * step] = labels[r]
-        values, first_at = np.unique(sequence, return_index=True)
-        new = values >= base
-        final = [0] * len(fresh)
-        keys = list(fresh)
-        for t in (values[new][np.argsort(first_at[new])] - base).tolist():
-            prev, neigh = keys[t]
-            prev = id_objects[prev] if prev < base else final[prev - base]
-            neigh = [id_objects[x] if x < base else final[x - base] for x in neigh]
-            # temporary ids sort last, so a key without one stays sorted
-            if neigh and neigh[-1] >= base:
-                neigh.sort()
-            final[t] = interner.refined_id(prev, tuple(neigh))
-            id_objects.append(final[t])
-        deeper = labels[1:]
-        temporary = deeper >= base
-        deeper[temporary] = np.array(final, dtype=np.int64)[deeper[temporary] - base]
-
-    width = len(interner)
-    pair = (copy_graph[copy_of] * width + labels).ravel()
-    pairs, inverse = np.unique(pair, return_inverse=True)
-    counts = np.bincount(inverse * k + np.tile(copy_level[copy_of], h + 1),
-                         minlength=len(pairs) * k)
-    return pairs // width, pairs % width, counts.reshape(-1, k)
-
+        _, first_vertex, labels[r] = np.unique(sig, return_index=True, return_inverse=True)
+        firsts.append(first_vertex)
+    return firsts

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
-from wlfiltration import FeatureCounts, GroundLine, LabelInterner
+from wlfiltration import FeatureCounts, GroundLine
 from wlfiltration.transport import wasserstein_cdf_points
 
 
@@ -66,13 +67,13 @@ def tables_from(store: FeatureCounts) -> list[FeatureTable]:
     return [FeatureTable(t, num_levels=store.num_levels) for t in tables]
 
 
-def dump_feature_table(table: FeatureTable, interner: LabelInterner) -> str:
+def dump_feature_table(table: FeatureTable, depth: Sequence[int]) -> str:
     """Debug text form: one `feature_id depth counts...` line per feature."""
     lines = []
     for lid in sorted(table.features):
         hist = table.features[lid]
         counts = " ".join(str(c) for c in hist.counts)
-        lines.append(f"{lid} {interner.depth_of[lid]} {counts}")
+        lines.append(f"{lid} {depth[lid]} {counts}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

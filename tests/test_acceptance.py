@@ -18,7 +18,6 @@ from wlfiltration import (
     GraphDataset,
     GroundLine,
     KernelConfig,
-    LabelInterner,
     WeightFunctionSpec,
     extract_all,
     generate_csl_benchmark,
@@ -48,7 +47,7 @@ def report(number: int, ok: bool, description: str) -> None:
 
 
 def _tables_k1(graphs, h):
-    tables = tables_from(extract_all(list(graphs), Filtration((0.0,)), h, LabelInterner()))
+    tables = tables_from(extract_all(list(graphs), Filtration((0.0,)), h))
     return tables, GroundLine((0.0,))
 
 

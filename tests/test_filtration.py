@@ -419,6 +419,20 @@ def test_fit_thresholds_scale_5000_distinct():
     assert thresholds[-1] == min(values)
 
 
+def test_fit_thresholds_blocks_do_not_change_thresholds(monkeypatch):
+    # 41 distinct integers (ties between partitions) and 150 floats: their
+    # cluster starts span many blocks of 1 or 7 rows, the last one cut short
+    rng = random.Random(11)
+    cases = [([rng.randint(0, 40) for _ in range(400)], 7),
+             ([rng.uniform(0, 50) for _ in range(150)], 9)]
+    wholes = [fit_thresholds(values, k).thresholds for values, k in cases]
+    monkeypatch.setattr(filtration, "_FIT_BLOCK_ENTRIES", 0)
+    for rows in (1, 7):
+        monkeypatch.setattr(filtration, "_FIT_BLOCK_MIN_ROWS", rows)
+        assert [fit_thresholds(values, k).thresholds for values, k in cases] == wholes
+    assert wholes == [_fit_thresholds_reference(values, k).thresholds for values, k in cases]
+
+
 def test_fit_thresholds_tie_prefers_small_leading_cluster():
     # {0}|{1,2} and {0,1}|{2} cost the same; the smaller first cluster wins
     assert fit_thresholds([0, 1, 2], 2).thresholds == (1, 0)

@@ -38,7 +38,7 @@ def test_mini_gram_bytes_are_golden(tmp_path, mini_tud_dir, run):
 
 
 def test_mini_gram_bytes_through_the_line_reader(tmp_path, mini_tud_dir, monkeypatch):
-    # CRLF line ends and `,\t` separators are outside the bulk grammar
+    # tabs are outside the bulk grammar; CRLF line ends alone are not
     data = tmp_path / "crlf"
     data.mkdir()
     names = [f"MINI20_{key}.txt" for key in ("A", "graph_indicator", "graph_labels", "node_labels")]
@@ -47,7 +47,8 @@ def test_mini_gram_bytes_through_the_line_reader(tmp_path, mini_tud_dir, monkeyp
         with open(os.path.join(mini_tud_dir, file_name), encoding="utf-8", newline="") as fh:
             text = fh.read()
         assert "\r" not in text and "\t" not in text
-        (data / file_name).write_bytes(text.replace(", ", ",\t").replace("\n", "\r\n").encode())
+        text = text.replace(", ", ",\t").replace("\n", "\t\r\n")
+        (data / file_name).write_bytes(text.encode())
     read = set()
     parse = graphs._parse_lines
 

@@ -350,7 +350,7 @@ _LOADER_CASES = [
     ("second direction first", _edit("A", "1, 2\n2, 1\n", "2, 1\n1, 2\n"), True),
     ("directions weighted apart", _edit("edge_attributes", "0.5\n0.5\n", "0.5\n0.75\n"), True),
     ("one direction only", _edit("A", "2, 1\n", ""), True),
-    ("crlf", _edit_all("\n", "\r\n"), False),
+    ("crlf", _edit_all("\n", "\r\n"), True),
     ("blank lines", _edit("graph_indicator", "1\n1\n", "1\n\n1\n"), False),
     ("blank final line", _edit("graph_labels", "1\n0\n1\n", "1\n0\n1\n\n"), False),
     ("leading blank line", _edit("A", "1, 2", "\n1, 2"), False),
@@ -500,6 +500,12 @@ def test_written_files_never_reach_the_line_reader(tmp_path, monkeypatch, make):
         raise AssertionError(f"{path} went to the line reader")
 
     monkeypatch.setattr(graphs, "_parse_lines", refuse)
+    back = load_tud_dataset(str(tmp_path), "W")
+    assert back.graphs == dataset.graphs
+    assert back.class_labels == dataset.class_labels
+    # the same files with CRLF line ends, as saved on Windows
+    for path in tmp_path.iterdir():
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     back = load_tud_dataset(str(tmp_path), "W")
     assert back.graphs == dataset.graphs
     assert back.class_labels == dataset.class_labels

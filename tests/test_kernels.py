@@ -14,7 +14,6 @@ from wlfiltration import (
     GraphDataset,
     GroundLine,
     KernelConfig,
-    LabelInterner,
     LabeledGraph,
     WeightFunctionSpec,
     build_filtration,
@@ -70,7 +69,7 @@ def test_filtration_pair_disjoint_features_is_zero():
 
 def test_filtration_pair_single_edge_self():
     g = LabeledGraph.build(2, [(0, 1)])
-    tables = tables_from(extract_all([g, g], Filtration((0.0,)), 0, LabelInterner()))
+    tables = tables_from(extract_all([g, g], Filtration((0.0,)), 0))
     line = GroundLine((0.0,))
     value = filtration_kernel_pair(tables[0], tables[1], line, 1.0)
     assert value == 4.0
@@ -87,7 +86,7 @@ def test_k1_reduction_to_histogram_kernel():
     rng = random.Random(10)
     graphs = [random_graph(rng, max_n=10) for _ in range(12)]
     for h in range(3):
-        tables = tables_from(extract_all(graphs, Filtration((0.0,)), h, LabelInterner()))
+        tables = tables_from(extract_all(graphs, Filtration((0.0,)), h))
         line = GroundLine((0.0,))
         for t1, t2 in itertools.combinations(tables, 2):
             filt_val = filtration_kernel_pair(t1, t2, line, 2.5)
@@ -99,7 +98,7 @@ def test_histogram_kernel_examples():
     assert histogram_kernel_pair(table({0: (1,)}, 1), table({1: (1,)}, 1)) == 0.0
     assert histogram_kernel_pair(table({0: (1,)}, 1), table({0: (1,)}, 1)) == 1.0
     triangle = LabeledGraph.build(3, [(0, 1), (1, 2), (2, 0)])
-    tables = tables_from(extract_all([triangle, triangle], Filtration((0.0,)), 1, LabelInterner()))
+    tables = tables_from(extract_all([triangle, triangle], Filtration((0.0,)), 1))
     assert histogram_kernel_pair(tables[0], tables[1]) == 18.0
     with pytest.raises(ValueError, match="single level"):
         histogram_kernel_pair(table({0: (1, 1)}, 2), table({0: (1, 1)}, 2))
@@ -133,7 +132,7 @@ def test_product_k1_reduction_to_rbf():
     graphs = [random_graph(rng, max_n=9) for _ in range(10)]
     beta = 0.3
     for h in range(3):
-        tables = tables_from(extract_all(graphs, Filtration((0.0,)), h, LabelInterner()))
+        tables = tables_from(extract_all(graphs, Filtration((0.0,)), h))
         line = GroundLine((0.0,))
         for t1, t2 in itertools.combinations(tables, 2):
             prod_val = product_kernel_pair(t1, t2, line, 1.9, beta)
@@ -213,7 +212,7 @@ def test_edgeless_dataset_gives_histogram_kernel():
               LabeledGraph.build(3, [], (2, 1, 2)))
     ds = GraphDataset(graphs, (0, 1, 0))
     spec = WeightFunctionSpec("degree")
-    tables = tables_from(extract_all(graphs, Filtration((0.0,)), 2, LabelInterner()))
+    tables = tables_from(extract_all(graphs, Filtration((0.0,)), 2))
     want = np.array([[histogram_kernel_pair(a, b) for b in tables] for a in tables])
     with pytest.warns(UserWarning, match="no edge weights; filtration length reduced"):
         assert build_filtration(ds, spec, 3) == Filtration((0.0,))
@@ -289,7 +288,7 @@ def test_gram_on_reversed_cube_matches_oracle():
     spec, cfg = WeightFunctionSpec("degree"), KernelConfig(h=2)
     filt = build_filtration(ds, spec, 1)
     weighted = [reweight(g, spec) for g in ds.graphs]
-    tables = tables_from(extract_all(weighted, filt, 2, LabelInterner()))
+    tables = tables_from(extract_all(weighted, filt, 2))
     K = gram_matrix(ds, spec, 1, cfg).values
     expected = oracle_gram(tables, GroundLine(filt.thresholds), cfg)
     np.testing.assert_allclose(K, expected, rtol=1e-12, atol=0)
@@ -336,7 +335,7 @@ def test_gram_matches_pair_oracles(variant, k, h, normalize, seed):
     filt = build_filtration(ds, spec, k)
     assert len(filt) == k
     weighted = [reweight(g, spec) for g in ds.graphs]
-    tables = tables_from(extract_all(weighted, filt, h, LabelInterner()))
+    tables = tables_from(extract_all(weighted, filt, h))
     held = [fid for t in tables for fid in t.features]
     assert any(held.count(fid) == 1 for fid in held)
 
@@ -355,7 +354,7 @@ def test_assemble_row_chunks_do_not_change_values(monkeypatch, variant):
     ds = GraphDataset(tuple(graphs), tuple(range(len(graphs))))
     spec = WeightFunctionSpec("native")
     filt = build_filtration(ds, spec, 6)
-    store = extract_all(graphs, filt, 1, LabelInterner())
+    store = extract_all(graphs, filt, 1)
     assert np.count_nonzero(store.feature == 0) == len(graphs)
     line = GroundLine(filt.thresholds)
     cfg = KernelConfig(h=1, beta=0.05, variant=variant)
@@ -368,7 +367,6 @@ def test_assemble_row_chunks_do_not_change_values(monkeypatch, variant):
 
 
 def test_assemble_rejects_counts_off_the_ground_line():
-    store = extract_all([LabeledGraph.build(2, [(0, 1)], weights=[1.0])], Filtration((1.0, 0.0)),
-                        1, LabelInterner())
+    store = extract_all([LabeledGraph.build(2, [(0, 1)], weights=[1.0])], Filtration((1.0, 0.0)), 1)
     with pytest.raises(ValueError, match="over 2 levels .* ground line of length 3"):
         kernels.assemble_gram(store, GroundLine((2.0, 1.0, 0.0)), KernelConfig())

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from wlfiltration import (
     Filtration,
-    LabelInterner,
+    GraphDataset,
     LabeledGraph,
     WeightFunctionSpec,
     build_filtration,
@@ -24,9 +24,9 @@ from wlfiltration import (
 from wlfiltration import wl
 from wlfiltration.kernels import reweight_dataset
 
-from conftest import path3, prism_graph, random_graph
+from conftest import path3, prism_graph, random_dataset, random_graph
 from kernel_reference import FiltrationHistogram, dump_feature_table, tables_from
-from wl_reference import extract_all_reference, wl_refine
+from wl_reference import LabelInterner, extract_all_reference, wl_refine
 
 
 def test_refine_edgeless_uniform():
@@ -99,7 +99,7 @@ def test_interner_density_and_depth():
 
 def test_extract_single_edge_h0():
     g = LabeledGraph.build(2, [(0, 1)])
-    (table,) = tables_from(extract_all([g], Filtration((0.0,)), 0, LabelInterner()))
+    (table,) = tables_from(extract_all([g], Filtration((0.0,)), 0))
     assert len(table.features) == 1
     (hist,) = table.features.values()
     assert hist.counts == (2,)
@@ -108,14 +108,14 @@ def test_extract_single_edge_h0():
 
 def test_extract_path_two_levels():
     g = path3(2.0, 1.0)
-    interner = LabelInterner()
-    (table,) = tables_from(extract_all([g], Filtration((2.0, 1.0)), 1, interner))
+    store = extract_all([g], Filtration((2.0, 1.0)), 1)
+    (table,) = tables_from(store)
     by_counts = sorted(h.counts for h in table.features.values())
     # initial label [3,3]; endpoint-with-one-neighbor [2,2];
     # isolated vertex [1,0]; middle-with-two-neighbors [0,1]
     assert by_counts == [(0, 1), (1, 0), (2, 2), (3, 3)]
     depth_of_counts = {
-        h.counts: interner.depth_of[fid] for fid, h in table.features.items()
+        h.counts: store.depth[fid] for fid, h in table.features.items()
     }
     assert depth_of_counts[(3, 3)] == 0
     assert depth_of_counts[(2, 2)] == 1
@@ -130,7 +130,7 @@ def test_extract_mass_accounting():
                                   reverse=True)) or (0.0,)
         filt = Filtration(thresholds)
         h = rng.randint(0, 3)
-        (table,) = tables_from(extract_all([g], filt, h, LabelInterner()))
+        (table,) = tables_from(extract_all([g], filt, h))
         assert table.total_mass() == (h + 1) * len(filt) * g.n
         assert all(hist.mass >= 1 for hist in table.features.values())
 
@@ -144,7 +144,7 @@ def test_extract_permutation_invariance():
         rng.shuffle(perm)
         p = permute_graph(g, perm)
         filt = Filtration((2.0, 1.0))
-        t_g, t_p = tables_from(extract_all([g, p], filt, 2, LabelInterner()))
+        t_g, t_p = tables_from(extract_all([g, p], filt, 2))
         assert t_g == t_p
 
 
@@ -153,11 +153,10 @@ def test_extract_all_threaded_matches_sequential():
     graphs = [random_graph(rng, max_n=8, num_labels=4) for _ in range(12)]
     graphs = [g.with_weights([rng.choice([0, 1]) for _ in g.edges]) for g in graphs]
     filt = Filtration((1.0, 0.0))
-    seq_interner, par_interner = LabelInterner(), LabelInterner()
-    sequential = extract_all(graphs, filt, 2, seq_interner, threads=1)
-    parallel = extract_all(graphs, filt, 2, par_interner, threads=4)
+    sequential = extract_all(graphs, filt, 2, threads=1)
+    parallel = extract_all(graphs, filt, 2, threads=4)
     assert tables_from(sequential) == tables_from(parallel)
-    assert seq_interner.depth_of == par_interner.depth_of
+    assert np.array_equal(sequential.depth, parallel.depth)
 
 
 def test_histogram_normalization():
@@ -171,9 +170,9 @@ def test_histogram_normalization():
 
 def test_dump_feature_table_golden():
     g = path3(2.0, 1.0)
-    interner = LabelInterner()
-    (table,) = tables_from(extract_all([g], Filtration((2.0, 1.0)), 1, interner))
-    assert dump_feature_table(table, interner) == (
+    store = extract_all([g], Filtration((2.0, 1.0)), 1)
+    (table,) = tables_from(store)
+    assert dump_feature_table(table, store.depth) == (
         "0 0 3 3\n"
         "1 1 2 2\n"
         "2 1 1 0\n"
@@ -235,17 +234,17 @@ def test_feature_counts_invariants():
     graphs = [random_graph(rng, max_n=9, num_labels=3) for _ in range(15)]
     graphs = [g.with_weights([rng.choice([0, 1, 2]) for _ in g.edges]) for g in graphs]
     filt = Filtration((2.0, 1.0, 0.0))
-    store = extract_all(graphs, filt, 2, LabelInterner())
+    store = extract_all(graphs, filt, 2)
     assert_store_invariants(store, 15, 3)
     # every vertex carries one label per level and depth
     assert store.counts.sum() == 3 * 3 * sum(g.n for g in graphs)
 
-    empty = extract_all([], Filtration((2.0, 1.0)), 2, LabelInterner())
+    empty = extract_all([], Filtration((2.0, 1.0)), 2)
     assert_store_invariants(empty, 0, 2)
     assert empty.counts.shape == (0, 2)
 
     edgeless = [LabeledGraph.build(3, [], [0, 1, 0]), LabeledGraph.build(2, [], [1, 1])]
-    store = extract_all(edgeless, Filtration((0.0,)), 1, LabelInterner())
+    store = extract_all(edgeless, Filtration((0.0,)), 1)
     assert_store_invariants(store, 2, 1)
     # labels 0, 1 and their depth-1 renamings 2, 3; only label 0 is missing from graph 1
     assert store.feature.tolist() == [0, 1, 1, 2, 3, 3]
@@ -253,7 +252,9 @@ def test_feature_counts_invariants():
     assert store.counts[:, 0].tolist() == [2, 1, 2, 2, 1, 2]
 
 
-@pytest.mark.parametrize("cap", [1, 50, wl._BATCH_ENTRIES])
+# spread scales every raw vertex label, so the alphabet `extract_all` makes
+# dense has gaps and large raw values; the ids must not depend on them
+@pytest.mark.parametrize("spread", [1, 50, 8192])
 @settings(max_examples=150, deadline=None)
 @given(data=_datasets(), h=st.integers(0, 4))
 @example(data=([], Filtration((0,))), h=2)
@@ -264,16 +265,16 @@ def test_feature_counts_invariants():
 @example(data=([_TOP_LEVEL, _SPARSE_LEVELS], Filtration((4, 3, 2))), h=3)
 @example(data=([_TOP_LEVEL], Filtration((3, 1, 0))), h=2)
 @example(data=([_EDGELESS, _SPARSE_LEVELS, _EDGELESS, _TOP_LEVEL], Filtration((3, 1, 0))), h=2)
-def test_extract_all_matches_reference(cap, data, h):
+def test_extract_all_matches_reference(spread, data, h):
     graphs, filt = data
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wl, "_BATCH_ENTRIES", cap)
-        interner = LabelInterner()
-        store = extract_all(graphs, filt, h, interner)
+    graphs = [LabeledGraph.build(g.n, g.edges, [raw * spread for raw in g.labels], g.weights)
+              for g in graphs]
+    store = extract_all(graphs, filt, h)
     reference = LabelInterner()
     assert tables_from(store) == extract_all_reference(graphs, filt, h, reference)
     assert_store_invariants(store, len(graphs), len(filt))
-    assert list(interner.depth_of.items()) == list(reference.depth_of.items())
+    assert store.depth.dtype == np.int64
+    assert store.depth.tolist() == [reference.depth_of[f] for f in range(len(reference))]
 
 
 def test_extract_all_refines_only_levels_that_add_an_edge(monkeypatch):
@@ -286,25 +287,35 @@ def test_extract_all_refines_only_levels_that_add_an_edge(monkeypatch):
     want = sum(len(({0} | {k - bisect.bisect_right(ascending, w) for w in g.weights}) - {k})
                for g in dataset.graphs)
     refined = []
-    refine_batch = wl._refine_batch
+    refine = wl._refine
 
     def counting(n, m, labels0, ends, first, mask, *rest):
         refined.append(int(mask.sum()))
-        return refine_batch(n, m, labels0, ends, first, mask, *rest)
+        return refine(n, m, labels0, ends, first, mask, *rest)
 
-    monkeypatch.setattr(wl, "_refine_batch", counting)
-    store = extract_all(dataset.graphs, filt, 2, LabelInterner())
+    monkeypatch.setattr(wl, "_refine", counting)
+    store = extract_all(dataset.graphs, filt, 2)
     assert sum(refined) == want < len(dataset) * k
     assert tables_from(store) == extract_all_reference(dataset.graphs, filt, 2, LabelInterner())
 
 
-def test_extract_all_rejects_used_interner():
-    interner = LabelInterner()
-    interner.register_initial([0])
-    with pytest.raises(ValueError, match="empty LabelInterner"):
-        extract_all([path3()], Filtration((0.0,)), 1, interner)
+def test_extract_all_numbers_labels_across_the_whole_dataset():
+    # graph 199 repeats graph 0: its labels get the same ids, deep ones that
+    # no graph in between holds among them
+    graphs = list(random_dataset(12, 200, min_n=6, max_n=14).graphs)
+    graphs[199] = graphs[0]
+    dataset = reweight_dataset(GraphDataset(tuple(graphs), (0,) * 200),
+                               WeightFunctionSpec("degree"))
+    filt = build_filtration(dataset, WeightFunctionSpec(), 4)
+    store = extract_all(dataset.graphs, filt, 3)
+    first, last = store.graph == 0, store.graph == 199
+    assert store.feature[first].tolist() == store.feature[last].tolist()
+    assert np.array_equal(store.counts[first], store.counts[last])
+    holders = np.bincount(store.feature, minlength=len(store.depth))
+    assert np.any(holders[store.feature[first]] == 2)
+    assert tables_from(store) == extract_all_reference(dataset.graphs, filt, 3, LabelInterner())
 
 
 def test_extract_all_rejects_negative_h_without_graphs():
     with pytest.raises(ValueError, match="h must be >= 0"):
-        extract_all([], Filtration((0.0,)), -1, LabelInterner())
+        extract_all([], Filtration((0.0,)), -1)

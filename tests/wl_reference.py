@@ -3,17 +3,57 @@
 One refinement round interns (old label, sorted neighbour labels) per
 vertex, on a `LabeledGraph` built for each filtration level. Interning runs
 graph by graph, level by level, round by round and vertex by vertex, which
-fixes the ids `extract_all` must reproduce.
+fixes the ids `extract_all` must reproduce, and `LabelInterner` records the
+depth of each id.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from wlfiltration import Filtration, LabelInterner, LabeledGraph
+from wlfiltration import Filtration, LabeledGraph
 from wlfiltration.filtration import filtration_graph
 
 from kernel_reference import FeatureTable, FiltrationHistogram
+
+
+class LabelInterner:
+    """Injective map from label-refinement keys to dense integer ids.
+
+    Initial (depth-0) labels and refined labels share one id space; each id
+    remembers the refinement depth it was created at. Interning order fixes
+    the ids, so runs that insert in the same order agree bit-for-bit.
+    """
+
+    def __init__(self):
+        self._initial: dict[int, int] = {}
+        self._refined: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.depth_of: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.depth_of)
+
+    def register_initial(self, raw_labels: Iterable[int]) -> None:
+        """Pre-intern an initial alphabet so its ids occupy the first block."""
+        for raw in sorted(set(raw_labels)):
+            self.initial_id(raw)
+
+    def initial_id(self, raw_label: int) -> int:
+        lid = self._initial.get(raw_label)
+        if lid is None:
+            lid = len(self.depth_of)
+            self._initial[raw_label] = lid
+            self.depth_of[lid] = 0
+        return lid
+
+    def refined_id(self, prev: int, neighborhood: tuple[int, ...]) -> int:
+        key = (prev, neighborhood)
+        lid = self._refined.get(key)
+        if lid is None:
+            lid = len(self.depth_of)
+            self._refined[key] = lid
+            self.depth_of[lid] = self.depth_of[prev] + 1
+        return lid
 
 
 def wl_refine(g: LabeledGraph, labels: Sequence[int], interner: LabelInterner) -> list[int]:
