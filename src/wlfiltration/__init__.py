@@ -43,7 +43,7 @@ from .transport import (
 )
 from .wl import FeatureCounts, extract_all
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "DatasetFormatError",

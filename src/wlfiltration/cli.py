@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import bisect
 import sys
 import time
 
 import numpy as np
 
 from .csl import generate_csl, generate_csl_benchmark
-from .filtration import WeightFunctionSpec
+from .filtration import WeightFunctionSpec, reweight
 from .gram_io import (
     RunManifest,
     ensure_parent_dir,
@@ -19,7 +18,7 @@ from .gram_io import (
     write_gram,
 )
 from .graphs import load_tud_dataset, write_tud_dataset
-from .kernels import KernelConfig, build_filtration, gram_matrix, reweight_dataset
+from .kernels import KernelConfig, build_filtration, gram_matrix
 from .wl import extract_all
 
 _VARIANT_FLAG = {"linear": "linear_combination", "product": "product"}
@@ -173,19 +172,18 @@ def run_csl(args: argparse.Namespace) -> None:
 def run_inspect(args: argparse.Namespace) -> None:
     dataset = load_tud_dataset(args.dataset, args.name)
     spec = WeightFunctionSpec(kind=args.weights, walk_length=args.walk_length)
-    weighted = reweight_dataset(dataset, spec)
+    weighted = reweight(dataset, spec)
     filtration = build_filtration(weighted, WeightFunctionSpec(), args.k)
-    pooled = sorted(w for g in weighted.graphs for w in g.weights)
     print(f"graphs: {len(dataset)}")
     print(f"thresholds (k={len(filtration)}): " + " ".join(str(t) for t in filtration.thresholds))
 
-    # Edges of weight >= alpha, counted with Python comparisons so that
-    # integer weights above 2**53 count exactly.
-    for level, alpha in enumerate(filtration.thresholds, start=1):
-        edges = len(pooled) - bisect.bisect_left(pooled, alpha)
+    # an edge is on every level from its first one on
+    first = filtration.first_levels(weighted.weights)
+    on_level = np.cumsum(np.bincount(first, minlength=len(filtration))).tolist()
+    for level, (alpha, edges) in enumerate(zip(filtration.thresholds, on_level), start=1):
         print(f"level {level}: alpha={alpha} edges={edges}")
 
-    store = extract_all(weighted.graphs, filtration, args.h)
+    store = extract_all(weighted, filtration, args.h)
     sizes = np.bincount(store.graph, minlength=store.num_graphs)
     print(f"features: {len(store.depth)} distinct labels")
     print(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -10,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import LabeledGraph
+from .graphs import GraphDataset, LabeledGraph, _exact_array
 
 WEIGHT_KINDS = ("native", "degree", "walks", "triangles")
 
@@ -59,6 +58,15 @@ class Filtration:
     def __len__(self) -> int:
         return len(self.thresholds)
 
+    def first_levels(self, weights: np.ndarray) -> np.ndarray:
+        """Each edge weight's first level (len(self): on no level); an edge is on
+        level i iff weight >= thresholds[i]. The comparisons are exact: in the
+        weights' dtype if the thresholds share it, else as Python objects."""
+        ascending = _exact_array(list(self.thresholds[::-1]))
+        if ascending.dtype != weights.dtype:
+            ascending, weights = ascending.astype(object), weights.astype(object)
+        return len(self) - np.searchsorted(ascending, weights, side="right")
+
 
 # Row chunk of the walk propagation: the rows x (n + 2m) temporaries stay
 # near this many entries however large the graph.
@@ -74,23 +82,22 @@ def _count_dtype(walk_length: int, maxdeg: int) -> type:
     return np.int64 if walk_length * maxdeg**walk_length < 2**63 else object
 
 
-def _walk_totals(g: LabeledGraph, walk_length: int) -> list[int]:
-    """sum_{l=1..walk_length} (A^l)[u, v] at every edge (u, v), aligned with g.edges.
+def _walk_totals(n: int, ends: np.ndarray, walk_length: int) -> np.ndarray:
+    """sum_{l=1..walk_length} (A^l)[u, v] at every edge (u, v) of one graph on n vertices.
 
-    Rows of A^l are propagated over the neighbour lists, a chunk of source
-    vertices at a time, so the work is O(walk_length * n * m) and no n x n
-    matrix is built. Counts are int64 when that cannot overflow and exact
-    Python ints (dtype object) otherwise; see `_count_dtype`.
+    Rows of A^l are propagated over the neighbour lists of the sorted `ends`,
+    a chunk of source vertices at a time: O(walk_length * n * m) work and no
+    n x n matrix. Counts are int64 when that cannot overflow and exact Python
+    ints otherwise (see `_count_dtype`), returned as uint64 from 2**63 on.
     """
     if walk_length < 1:
         raise ValueError("walk_length must be >= 1")
-    if not g.edges:
-        return []
-    ends = np.array(g.edges, dtype=np.intp)
+    if not len(ends):
+        return np.zeros(0, dtype=np.int64)
     u, v = ends[:, 0], ends[:, 1]
     src = np.concatenate((u, v))
     nbr = np.concatenate((v, u))[np.argsort(src, kind="stable")]
-    deg = np.bincount(src, minlength=g.n)
+    deg = np.bincount(src, minlength=n)
     # reduceat mishandles empty segments, so only vertices with neighbours
     # are summed; the others stay zero.
     held = np.flatnonzero(deg)
@@ -98,10 +105,10 @@ def _walk_totals(g: LabeledGraph, walk_length: int) -> list[int]:
     dtype = _count_dtype(walk_length, int(deg.max()))
 
     totals = np.empty(len(u), dtype=dtype)
-    step = max(1, _WALK_CHUNK_ENTRIES // (g.n + len(nbr)))
-    for lo in range(0, g.n, step):
-        hi = min(g.n, lo + step)
-        rows = np.zeros((hi - lo, g.n), dtype=dtype)
+    step = max(1, _WALK_CHUNK_ENTRIES // (n + len(nbr)))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        rows = np.zeros((hi - lo, n), dtype=dtype)
         rows[np.arange(hi - lo), np.arange(lo, hi)] = 1
         acc = np.zeros_like(rows)
         for _ in range(walk_length):
@@ -113,52 +120,40 @@ def _walk_totals(g: LabeledGraph, walk_length: int) -> list[int]:
             raise OverflowError(
                 f"walk count exceeds 64-bit unsigned range for walk_length={walk_length}"
             )
-        # g.edges is sorted, so the edges leaving rows lo..hi-1 are a slice
+        # the edges are sorted, so the edges leaving rows lo..hi-1 are a slice
         a, b = np.searchsorted(u, (lo, hi))
         totals[a:b] = acc[u[a:b] - lo, v[a:b]]
-    return totals.tolist()
+    return _exact_array(totals.tolist()) if dtype is object else totals
 
 
 def compute_weights(g: LabeledGraph, spec: WeightFunctionSpec) -> tuple[float, ...]:
     """Edge-weight assignment for g under the chosen weight function."""
-    return dataset_weights((g,), spec)[0]
+    return tuple(dataset_weights(GraphDataset((g,), (0,)), spec).tolist())
 
 
-def dataset_weights(
-    graphs: Sequence[LabeledGraph], spec: WeightFunctionSpec
-) -> list[tuple[float, ...]]:
-    """The edge weights of every graph under `spec`, aligned with each `g.edges`.
+def dataset_weights(dataset: GraphDataset, spec: WeightFunctionSpec) -> np.ndarray:
+    """The edge weights of every graph under `spec`, aligned with `dataset.ends`.
 
-    'degree' is max(deg(u), deg(v)); 'walks' counts the walks of length
-    1..walk_length from u to v, raising on a count above the 64-bit unsigned
-    range; 'triangles' counts the triangles on the edge, |N(u) ∩ N(v)|.
-    Degrees come from one bincount over the dataset, walk and triangle
-    counts from `_batched_walk_totals`, all as Python ints.
+    'native' is `dataset.weights`; 'degree' is max(deg(u), deg(v)); 'walks'
+    counts the walks of length 1..walk_length from u to v, raising on a
+    count above the 64-bit unsigned range; 'triangles' counts the triangles
+    on the edge, |N(u) ∩ N(v)|. Degrees come from one bincount over the
+    dataset, walk and triangle counts from `_batched_walk_totals`, as int64
+    (uint64 for walk counts from 2**63 on).
     """
     if spec.kind == "native":
-        return [g.weights for g in graphs]
-    m = [g.edge_count for g in graphs]
-    ends = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(g.edges for g in graphs)),
-        dtype=np.intp, count=2 * sum(m),
-    ).reshape(-1, 2)
-    n = np.array([g.n for g in graphs], dtype=np.intp)
+        return dataset.weights
+    n, m, ends = dataset.sizes, dataset.edge_counts, dataset.ends
     # endpoints as dataset-wide vertex ids
     glob = ends + np.repeat(np.cumsum(n) - n, m)[:, None]
     deg = np.bincount(glob.reshape(-1), minlength=int(n.sum()))
     if spec.kind == "degree":
-        flat = deg[glob].max(axis=1).tolist()
-    elif spec.kind == "triangles":
+        return deg[glob].max(axis=1)
+    if spec.kind == "triangles":
         # A[u,v] = 1 on an edge, so the two-step total is one more than the
         # number of common neighbours
-        flat = [w - 1 for w in _batched_walk_totals(graphs, ends, m, n, deg, 2)]
-    else:
-        flat = _batched_walk_totals(graphs, ends, m, n, deg, spec.walk_length)
-    out, at = [], 0
-    for count in m:
-        out.append(tuple(flat[at:at + count]))
-        at += count
-    return out
+        return _batched_walk_totals(ends, m, n, deg, 2) - 1
+    return _batched_walk_totals(ends, m, n, deg, spec.walk_length)
 
 
 # Padded (graphs, N, N) blocks of the batched walk pass hold at most this
@@ -166,8 +161,8 @@ def dataset_weights(
 _WALK_BLOCK_ENTRIES = 1 << 15
 
 
-def _batched_walk_totals(graphs, ends, m, n, deg, walk_length: int) -> list:
-    """`_walk_totals` of every graph, flat in edge order, as Python ints.
+def _batched_walk_totals(ends, m, n, deg, walk_length: int) -> np.ndarray:
+    """`_walk_totals` of every graph, flat in edge order.
 
     Graphs are sorted by n and padded into (graphs, N, N) adjacency blocks
     of at most _WALK_BLOCK_ENTRIES entries; sum_l A^l is formed by float64
@@ -176,9 +171,8 @@ def _batched_walk_totals(graphs, ends, m, n, deg, walk_length: int) -> list:
     `_count_dtype`), so float64 holds each exactly. Graphs above either
     bound go to `_walk_totals`, which raises on counts above 2**64 - 1.
     """
-    m, n = np.asarray(m, dtype=np.intp), np.asarray(n, dtype=np.intp)
-    maxdeg = np.zeros(len(graphs), dtype=np.intp)
-    np.maximum.at(maxdeg, np.repeat(np.arange(len(graphs)), n), deg)
+    maxdeg = np.zeros(len(n), dtype=np.intp)
+    np.maximum.at(maxdeg, np.repeat(np.arange(len(n)), n), deg)
     exact = [walk_length * d**walk_length < 2**53 for d in maxdeg.tolist()]
     batched = (m > 0) & (n * n <= _WALK_BLOCK_ENTRIES) & np.array(exact, dtype=bool)
 
@@ -206,17 +200,21 @@ def _batched_walk_totals(graphs, ends, m, n, deg, walk_length: int) -> list:
         totals[edge] = acc[slot, u, v]
         lo = hi
 
-    flat = totals.tolist()
     for gid in np.flatnonzero(~batched & (m > 0)).tolist():
-        flat[first[gid]:first[gid] + m[gid]] = _walk_totals(graphs[gid], walk_length)
-    return flat
+        alone = _walk_totals(int(n[gid]), ends[first[gid]:first[gid] + m[gid]], walk_length)
+        if alone.dtype == np.uint64:
+            totals = totals.astype(np.uint64)
+        totals[first[gid]:first[gid] + m[gid]] = alone
+    return totals
 
 
-def reweight(g: LabeledGraph, spec: WeightFunctionSpec) -> LabeledGraph:
-    """Copy of g carrying the weights computed by `spec`."""
+def reweight(data: LabeledGraph | GraphDataset, spec: WeightFunctionSpec):
+    """Copy of a graph or a dataset (in one pass) carrying the weights computed by `spec`."""
     if spec.kind == "native":
-        return g
-    return g.with_weights(compute_weights(g, spec))
+        return data
+    if isinstance(data, LabeledGraph):
+        return data.with_weights(compute_weights(data, spec))
+    return data._with_weights(dataset_weights(data, spec))
 
 
 def fit_thresholds(dataset_weights: Iterable[float], k: int) -> Filtration:

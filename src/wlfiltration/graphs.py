@@ -101,23 +101,9 @@ class LabeledGraph:
             raise ValueError(f"vertex {v} out of range for graph on {self.n} vertices")
         return len(self.adjacency[v])
 
-    @classmethod
-    def _trusted(cls, n, edges, labels, weights) -> "LabeledGraph":
-        """An instance from fields the caller has already checked as `__post_init__` would."""
-        g = cls.__new__(cls)
-        g.__dict__.update(n=n, edges=edges, labels=labels, weights=weights)
-        return g
-
     def with_weights(self, weights: Sequence[float]) -> "LabeledGraph":
-        """Same structure and labels, new per-edge weights (aligned with `edges`).
-
-        The structure was checked when this graph was made, so only the new
-        weights are; a bad one is reported by the full constructor.
-        """
-        weights = tuple(weights)
-        if len(weights) == len(self.edges) and all(0 <= w < math.inf for w in weights):
-            return self._trusted(self.n, self.edges, self.labels, weights)
-        return LabeledGraph(self.n, self.edges, self.labels, weights)
+        """Same structure and labels, new per-edge weights (aligned with `edges`)."""
+        return LabeledGraph(self.n, self.edges, self.labels, tuple(weights))
 
 
 def permute_graph(g: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:
@@ -131,20 +117,81 @@ def permute_graph(g: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:
     return LabeledGraph.build(g.n, edges, labels, list(g.weights))
 
 
-@dataclass(frozen=True)
 class GraphDataset:
-    """Ordered collection of graphs with per-graph integer class labels."""
+    """Ordered collection of graphs with per-graph integer class labels, held as flat arrays.
 
-    graphs: tuple[LabeledGraph, ...]
-    class_labels: tuple[int, ...]
-    name: str = ""
+    Graph g has `sizes[g]` vertices and `edge_counts[g]` edges. `labels` and
+    `ends` hold the vertex labels and the edges, graph after graph, each edge
+    as graph-local (u, v) with u < v, sorted within its graph; `weights[e]`
+    belongs to `ends[e]`. Labels and weights keep their exact values (see
+    `_exact_array`). The arrays are read-only, so datasets share them.
+    `graphs` is their `LabeledGraph` view, built when first read.
+    """
 
-    def __post_init__(self):
-        if len(self.class_labels) != len(self.graphs):
+    def __init__(self, graphs: Sequence[LabeledGraph], class_labels: Sequence[int], name=""):
+        graphs = tuple(graphs)
+        chain = itertools.chain.from_iterable
+        edge_counts = np.fromiter((len(g.edges) for g in graphs), np.int64, len(graphs))
+        dataset = self._of_arrays(
+            np.fromiter((g.n for g in graphs), np.int64, len(graphs)), edge_counts,
+            _exact_array(list(chain(g.labels for g in graphs))),
+            np.fromiter(chain(chain(g.edges for g in graphs)), np.int64,
+                        2 * int(edge_counts.sum())).reshape(-1, 2),
+            _exact_array(list(chain(g.weights for g in graphs))), class_labels, name)
+        vars(self).update(vars(dataset), graphs=graphs)  # the view of these arrays
+
+    @classmethod
+    def _of_arrays(cls, sizes, edge_counts, labels, ends, weights, class_labels, name):
+        """A dataset of arrays laid out as the class describes; only their count is checked."""
+        if len(class_labels) != len(sizes):
             raise ValueError("class_labels length must equal number of graphs")
+        for array in (sizes, edge_counts, labels, ends, weights):
+            array.flags.writeable = False
+        dataset = cls.__new__(cls)
+        vars(dataset).update(sizes=sizes, edge_counts=edge_counts, labels=labels, ends=ends,
+                             weights=weights, class_labels=tuple(class_labels), name=name)
+        return dataset
+
+    @cached_property
+    def graphs(self) -> tuple[LabeledGraph, ...]:
+        """One `LabeledGraph` per graph, each checked by its constructor."""
+        edges = list(zip(*self.ends.T.tolist()))
+        labels, weights = self.labels.tolist(), self.weights.tolist()
+        sizes, edge_counts = self.sizes.tolist(), self.edge_counts.tolist()
+        ends_at = zip(itertools.accumulate(sizes), itertools.accumulate(edge_counts))
+        return tuple(  # a graph's vertices end at v, its edges at e
+            LabeledGraph(n, tuple(edges[e - m:e]), tuple(labels[v - n:v]), tuple(weights[e - m:e]))
+            for n, m, (v, e) in zip(sizes, edge_counts, ends_at))
+
+    def _with_weights(self, weights: np.ndarray) -> "GraphDataset":
+        """Same graphs and labels, carrying `weights` (valid, aligned with `ends`)."""
+        return self._of_arrays(self.sizes, self.edge_counts, self.labels, self.ends, weights,
+                               self.class_labels, self.name)
 
     def __len__(self) -> int:
-        return len(self.graphs)
+        return len(self.sizes)
+
+    def _fields(self) -> tuple:
+        return self.graphs, self.class_labels, self.name
+
+    def __repr__(self) -> str:
+        return "GraphDataset(graphs=%r, class_labels=%r, name=%r)" % self._fields()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GraphDataset) and self._fields() == other._fields()
+
+
+def _exact_array(values: list) -> np.ndarray:
+    """`values` as float64 if all are floats, as int64 or uint64 if all are
+    Python ints that fit one, and as the objects themselves otherwise."""
+    kinds = set(map(type, values))
+    if all(issubclass(kind, (float, np.floating)) for kind in kinds):
+        return np.array(values, dtype=np.float64)
+    if all(issubclass(kind, int) for kind in kinds):
+        for dtype in (np.int64, np.uint64):
+            with contextlib.suppress(OverflowError):
+                return np.array(values, dtype=dtype)
+    return np.array(values, dtype=object)
 
 
 def load_tud_dataset(directory: str, name: str) -> GraphDataset:
@@ -208,20 +255,10 @@ def load_tud_dataset(directory: str, name: str) -> GraphDataset:
     new[1:] = keys[order[1:]] != keys[order[:-1]]
     first = order[new]
     gid = graph_of[u[first]]
-    edges = list(zip((lo[first] - starts[gid]).tolist(), (hi[first] - starts[gid]).tolist()))
-    weights = weights[first].tolist()
-    labels = node_labels[by_graph].tolist()
-
-    graphs = []
-    e_at = v_at = 0
-    for n, m in zip(vertex_counts.tolist(), np.bincount(gid, minlength=num_graphs).tolist()):
-        # every field passed the checks above
-        graphs.append(LabeledGraph._trusted(
-            n, tuple(edges[e_at:e_at + m]), tuple(labels[v_at:v_at + n]),
-            tuple(weights[e_at:e_at + m]),
-        ))
-        e_at, v_at = e_at + m, v_at + n
-    return GraphDataset(tuple(graphs), tuple(class_labels.tolist()), name)
+    ends = np.stack((lo[first], hi[first]), axis=1) - starts[gid][:, None]
+    return GraphDataset._of_arrays(
+        vertex_counts, np.bincount(gid, minlength=num_graphs), node_labels[by_graph], ends,
+        weights[first], class_labels.tolist(), name)
 
 
 def _dataset_paths(directory: str, name: str) -> dict[str, str]:
@@ -464,38 +501,22 @@ def write_tud_dataset(dataset: GraphDataset, directory: str, name: str) -> None:
     otherwise an existing `<name>_edge_attributes.txt` is removed.
     """
     os.makedirs(directory, exist_ok=True)
-    offsets = []
-    total = 0
-    for g in dataset.graphs:
-        offsets.append(total)
-        total += g.n
+    # 1-based dataset-wide ids of each edge's ends
+    first_id = np.cumsum(dataset.sizes) - dataset.sizes + 1
+    u, v = (dataset.ends + np.repeat(first_id, dataset.edge_counts)[:, None]).T
+    has_weights = bool(np.any(dataset.weights != 0))
 
-    a_lines: list[str] = []
-    attr_lines: list[str] = []
-    indicator_lines: list[str] = []
-    node_label_lines: list[str] = []
-    has_weights = any(any(w != 0 for w in g.weights) for g in dataset.graphs)
-    for gid, g in enumerate(dataset.graphs):
-        base = offsets[gid] + 1
-        indicator_lines.extend([str(gid + 1)] * g.n)
-        node_label_lines.extend(str(lab) for lab in g.labels)
-        for (u, v), w in zip(g.edges, g.weights):
-            a_lines.append(f"{base + u}, {base + v}")
-            a_lines.append(f"{base + v}, {base + u}")
-            if has_weights:
-                attr_lines.append(repr(float(w)))
-                attr_lines.append(repr(float(w)))
-
-    def _dump(key: str, lines: list[str]) -> None:
+    def _dump(key: str, line: str, values: list) -> None:
         with open(os.path.join(directory, f"{name}_{key}.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            fh.write(line * (len(values) // line.count("%")) % tuple(values))
 
-    _dump("A", a_lines)
-    _dump("graph_indicator", indicator_lines)
-    _dump("graph_labels", [str(c) for c in dataset.class_labels])
-    _dump("node_labels", node_label_lines)
+    _dump("A", "%d, %d\n", np.stack((u, v, v, u), axis=1).ravel().tolist())
+    _dump("graph_indicator", "%d\n",
+          np.repeat(np.arange(1, len(dataset) + 1), dataset.sizes).tolist())
+    _dump("graph_labels", "%s\n", list(dataset.class_labels))
+    _dump("node_labels", "%s\n", dataset.labels.tolist())
     if has_weights:
-        _dump("edge_attributes", attr_lines)
+        _dump("edge_attributes", "%r\n", list(map(float, np.repeat(dataset.weights, 2).tolist())))
     else:
         # a stale file from an earlier weighted dataset would be read back
         with contextlib.suppress(FileNotFoundError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,19 +150,10 @@ def gram_matrix(
     weights are computed once and passed on with the native spec. Cosine
     normalization rescales to unit diagonal when requested.
     """
-    weighted = reweight_dataset(dataset, spec)
+    weighted = reweight(dataset, spec)
     native = WeightFunctionSpec()
     filtration = k if isinstance(k, Filtration) else build_filtration(weighted, native, k)
     return gram_matrix_for_filtration(weighted, native, filtration, config)
-
-
-def reweight_dataset(dataset: GraphDataset, spec: WeightFunctionSpec) -> GraphDataset:
-    """The dataset with every graph carrying the weights computed by `spec`,
-    in one pass over the dataset (`dataset_weights`)."""
-    if spec.kind == "native":
-        return dataset
-    weights = dataset_weights(dataset.graphs, spec)
-    return replace(dataset, graphs=tuple(g.with_weights(w) for g, w in zip(dataset.graphs, weights)))
 
 
 def build_filtration(
@@ -176,7 +167,7 @@ def build_filtration(
     """
     if k != "auto" and k < 1:
         raise ValueError("k must be >= 1")
-    pooled = [w for ws in dataset_weights(dataset.graphs, spec) for w in ws]
+    pooled = dataset_weights(dataset, spec).tolist()
     if not pooled:
         if k != "auto" and k > 1:
             warnings.warn(
@@ -199,9 +190,9 @@ def gram_matrix_for_filtration(
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    if any(g.n == 0 for g in dataset.graphs):
+    if np.any(dataset.sizes == 0):
         raise ValueError("dataset contains a graph with zero vertices")
-    weighted = [reweight(g, spec) for g in dataset.graphs]
+    weighted = reweight(dataset, spec)
 
     store = extract_all(weighted, filtration, config.h)
     values = assemble_gram(store, GroundLine(filtration.thresholds), config)

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .filtration import Filtration
-from .graphs import LabeledGraph
+from .graphs import GraphDataset, LabeledGraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +44,7 @@ class LabelInterner:
 
 
 def extract_all(
-    graphs: Sequence[LabeledGraph],
+    graphs: GraphDataset | Sequence[LabeledGraph],
     filtration: Filtration,
     h: int,
     interner: LabelInterner | None = None,
@@ -68,39 +66,30 @@ def extract_all(
     level holds no label that is new in that order, so skipping it leaves
     the ids as they are. The refined copies of all graphs are refined
     together as one disjoint union with array passes (see `_refine`), so no
-    Python work is done per label. `interner` and `threads` are accepted for
-    callers written for version 0.7.0 and ignored; the result never
-    depended on them.
+    Python work is done per label. `graphs` is a dataset or a sequence of
+    graphs; `interner` and `threads` are accepted for callers written for
+    version 0.7.0 and ignored; the result never depended on them.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
+    if not isinstance(graphs, GraphDataset):
+        graphs = GraphDataset(graphs, [0] * len(graphs))
     k = len(filtration)
-    ascending = filtration.thresholds[::-1]
-    alphabet = {raw: i for i, raw in enumerate(sorted({raw for g in graphs for raw in g.labels}))}
-    n = np.array([g.n for g in graphs], dtype=np.int64)
-    m = np.array([len(g.edges) for g in graphs], dtype=np.int64)
-    labels0 = np.fromiter((alphabet[raw] for g in graphs for raw in g.labels),
-                          dtype=np.int64, count=int(n.sum()))
-    ends = np.fromiter(itertools.chain.from_iterable(e for g in graphs for e in g.edges),
-                       dtype=np.int64, count=2 * int(m.sum())).reshape(-1, 2)
-    # An edge is on level i iff weight >= thresholds[i], i.e. from the level
-    # after the last threshold above it; Python comparisons keep this exact
-    # for integers above 2**53. An edge below the last threshold gets k and
-    # is on no level.
-    first = np.fromiter((k - bisect.bisect_right(ascending, w) for g in graphs for w in g.weights),
-                        dtype=np.int64, count=int(m.sum()))
+    n, m, ends = graphs.sizes, graphs.edge_counts, graphs.ends
+    alphabet, labels0 = np.unique(graphs.labels, return_inverse=True)
+    first = filtration.first_levels(graphs.weights)  # k: on no level
     # refined[g, i]: level i of graph g differs from level i - 1 (level 0
     # always counts)
-    refined = np.zeros((len(graphs), k), dtype=bool)
+    refined = np.zeros((len(n), k), dtype=bool)
     refined[:, 0] = True
     on_levels = first < k
-    refined[np.repeat(np.arange(len(graphs)), m)[on_levels], first[on_levels]] = True
+    refined[np.repeat(np.arange(len(n)), m)[on_levels], first[on_levels]] = True
 
     labels, depth = _refine(n, m, labels0, ends, first, refined, h, len(alphabet))
     # A vertex of copy (g, i) labelled f falls in cell (f * graphs + g) * k + i.
     # Round by round, so that one round's sort is alive at a time; the
     # rounds' ids are disjoint, and so are their cells.
-    num_graphs = max(len(graphs), 1)
+    num_graphs = max(len(n), 1)
     copy_graph, copy_level = np.nonzero(refined)
     place = np.repeat(copy_graph * k + copy_level, n[copy_graph])
     cells, tallies = [], []
@@ -126,7 +115,7 @@ def extract_all(
     repeated = ~refined[graph]
     for i in range(1, k):
         np.copyto(counts[:, i], counts[:, i - 1], where=repeated[:, i])
-    return FeatureCounts(graph, key // num_graphs, counts, depth, num_graphs=len(graphs))
+    return FeatureCounts(graph, key // num_graphs, counts, depth, num_graphs=len(n))
 
 
 def _refine(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wlfiltration import (
     Filtration,
+    GraphDataset,
     LabeledGraph,
     WeightFunctionSpec,
     compute_weights,
@@ -127,6 +128,22 @@ def _weight_walks_reference(g: LabeledGraph, walk_length: int) -> tuple[int, ...
     return tuple(totals[e] for e in g.edges)
 
 
+def _walk_totals(g: LabeledGraph, walk_length: int) -> tuple[int, ...]:
+    """`filtration._walk_totals` of g alone, as Python ints."""
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    return tuple(filtration._walk_totals(g.n, ends, walk_length).tolist())
+
+
+def _dataset_weights(graphs, spec) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """`dataset_weights` of the graphs: the column, and its values split per graph."""
+    column = dataset_weights(GraphDataset(graphs, [0] * len(graphs)), spec)
+    flat, at, split = column.tolist(), 0, []
+    for g in graphs:
+        split.append(tuple(flat[at:at + g.edge_count]))
+        at += g.edge_count
+    return column, split
+
+
 def _assert_same_weights(got, want):
     assert got == want
     assert [type(w) for w in got] == [type(w) for w in want]
@@ -147,7 +164,7 @@ def _graphs_with_isolated_vertices(draw):
 def test_walk_and_triangle_weights_match_reference(g, walk_length):
     want = _weight_walks_reference(g, walk_length)
     _assert_same_weights(_walks(g, walk_length), want)
-    _assert_same_weights(tuple(filtration._walk_totals(g, walk_length)), want)
+    _assert_same_weights(_walk_totals(g, walk_length), want)
     _assert_same_weights(compute_weights(g, TRIANGLES), _weight_triangles_reference(g))
 
 
@@ -157,8 +174,8 @@ def test_walk_weights_do_not_depend_on_row_chunk(monkeypatch, entries):
     graphs = [random_graph(rng, max_n=14, p=0.3) for _ in range(20)]
     monkeypatch.setattr(filtration, "_WALK_CHUNK_ENTRIES", entries)
     for g in graphs:
-        _assert_same_weights(tuple(filtration._walk_totals(g, 5)), _weight_walks_reference(g, 5))
-        _assert_same_weights(tuple(w - 1 for w in filtration._walk_totals(g, 2)),
+        _assert_same_weights(_walk_totals(g, 5), _weight_walks_reference(g, 5))
+        _assert_same_weights(tuple(w - 1 for w in _walk_totals(g, 2)),
                              _weight_triangles_reference(g))
 
 
@@ -196,12 +213,13 @@ def _degree_reference(g: LabeledGraph) -> tuple[int, ...]:
 
 def _assert_batched_weights_match(graphs, walk_length):
     """dataset_weights against the per-graph counts and the pure-Python oracles."""
-    walks = dataset_weights(graphs, WeightFunctionSpec("walks", walk_length=walk_length))
-    triangles = dataset_weights(graphs, WeightFunctionSpec("triangles"))
-    degree = dataset_weights(graphs, WeightFunctionSpec("degree"))
-    assert len(walks) == len(triangles) == len(degree) == len(graphs)
+    columns, (walks, triangles, degree) = zip(*(
+        _dataset_weights(graphs, spec) for spec in (
+            WeightFunctionSpec("walks", walk_length=walk_length),
+            WeightFunctionSpec("triangles"), WeightFunctionSpec("degree"))))
+    assert all(column.dtype == np.int64 for column in columns)
     for g, w, t, d in zip(graphs, walks, triangles, degree):
-        _assert_same_weights(w, tuple(filtration._walk_totals(g, walk_length)))
+        _assert_same_weights(w, _walk_totals(g, walk_length))
         _assert_same_weights(w, _weight_walks_reference(g, walk_length))
         _assert_same_weights(t, _weight_triangles_reference(g))
         _assert_same_weights(d, _degree_reference(g))
@@ -240,24 +258,26 @@ def test_dataset_weights_straddle_exact_float_and_int64(monkeypatch, n, walk_len
     alone = []
     original = filtration._walk_totals
 
-    def counting(g, length):
-        alone.append(g)
-        return original(g, length)
+    def counting(n, ends, length):
+        alone.append((n, ends.tolist()))
+        return original(n, ends, length)
 
     # maxdeg 1 keeps the first graph batched at any length
     graphs = [LabeledGraph.build(3, [(1, 2)]), _complete_graph(n), LabeledGraph.build(4, [])]
     want = [_weight_walks_reference(g, walk_length) for g in graphs]
     monkeypatch.setattr(filtration, "_walk_totals", counting)
-    got = dataset_weights(graphs, WeightFunctionSpec("walks", walk_length=walk_length))
+    column, got = _dataset_weights(graphs, WeightFunctionSpec("walks", walk_length=walk_length))
     for w, r in zip(got, want):
         _assert_same_weights(w, r)
-    assert alone == ([] if batched else [graphs[1]])
+    assert alone == ([] if batched else [(n, [list(e) for e in graphs[1].edges])])
+    # of these, only K3's counts at walk_length 64 reach 2**63 and need uint64
+    assert column.dtype == (np.uint64 if (n, walk_length) == (3, 64) else np.int64)
 
 
 def test_dataset_weights_overflow_at_k3_lambda_65():
     graphs = [path3(), _complete_graph(3)]
     with pytest.raises(OverflowError, match="walk_length=65"):
-        dataset_weights(graphs, WeightFunctionSpec("walks", walk_length=65))
+        dataset_weights(GraphDataset(graphs, (0, 0)), WeightFunctionSpec("walks", walk_length=65))
 
 
 def test_compute_weights_dispatch():
@@ -464,6 +484,25 @@ def test_filtration_graph_boundaries():
     assert filtration_graph(g, 5.0).edges == ()
     assert filtration_graph(g, 5.0).n == 3
     assert filtration_graph(g, 2.0).edges == ((0, 1),)
+
+
+# float64 rounds 2**53 + 3 up to 2**53 + 4 and 2**63 - 2 up to 2**63, so the
+# columns and thresholds of different dtypes must compare exactly
+@pytest.mark.parametrize("weights, thresholds", [
+    ([2.0, 0.5, 3.0], (2.0, 1.0)),
+    ([2**53 + 3, 2**53 + 4, 0], (float(2**53 + 4), 0.5)),
+    ([2**53 + 3, 2**53 + 4, 1], (2**53 + 4, 2)),
+    ([2**64 - 1, 2**63, 5], (2**63 + 1, 5)),
+    ([2**64 - 1, 2**63 - 2, 5], (2**63 - 1, 5)),
+    ([2**60, 0.5, 2**60 + 1], (2**60 + 1, 0.5)),
+])
+def test_first_levels_match_python_comparisons(weights, thresholds):
+    column = GraphDataset((LabeledGraph.build(4, [(0, 1), (1, 2), (2, 3)], weights=weights),),
+                          (0,)).weights
+    filt = Filtration(thresholds)
+    want = [next((i for i, t in enumerate(thresholds) if w >= t), len(thresholds))
+            for w in weights]
+    assert filt.first_levels(column).tolist() == want
 
 
 def test_filtration_graph_triangle_level():

@@ -503,12 +503,32 @@ def test_written_files_never_reach_the_line_reader(tmp_path, monkeypatch, make):
     back = load_tud_dataset(str(tmp_path), "W")
     assert back.graphs == dataset.graphs
     assert back.class_labels == dataset.class_labels
+    # the loader builds the arrays that the in-memory graphs give
+    for key in ("sizes", "edge_counts", "labels", "ends", "weights"):
+        np.testing.assert_array_equal(getattr(back, key), getattr(dataset, key))
+        assert getattr(back, key).dtype == (np.float64 if key == "weights" else np.int64)
     # the same files with CRLF line ends, as saved on Windows
     for path in tmp_path.iterdir():
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     back = load_tud_dataset(str(tmp_path), "W")
     assert back.graphs == dataset.graphs
     assert back.class_labels == dataset.class_labels
+
+
+@pytest.mark.parametrize("weights, dtype", [
+    ([0.5, 2.0], np.float64), ([], np.float64), ([3, 0], np.int64), ([2**63, 1], np.uint64),
+    ([2**60, 0.5], object), ([2**64, 1], object),
+])
+def test_dataset_weight_column_is_exact(weights, dtype):
+    graphs_ = (LabeledGraph.build(3, [(0, 1), (1, 2)][:len(weights)], weights=weights),
+               LabeledGraph.build(2, []))
+    dataset = GraphDataset(graphs_, (0, 1))
+    assert dataset.weights.dtype == dtype
+    assert dataset.weights.tolist() == weights
+    # the view of the arrays gives back each weight with its type
+    view = dataset._with_weights(dataset.weights).graphs
+    assert view == graphs_
+    assert [type(w) for w in view[0].weights] == [type(w) for w in weights]
 
 
 def test_pair_keys_stay_exact_past_int64():

@@ -250,18 +250,19 @@ def test_compute_and_gram_matrix_weigh_each_graph_once(tmp_path, mini_tud_dir, m
     from wlfiltration import filtration, kernels
 
     passes = []
-    original = kernels.dataset_weights
+    original = filtration.dataset_weights
 
-    def counting(graphs, spec):
+    def counting(dataset, spec):
         # a native spec reads the weights the graphs carry; only the others compute
         if spec.kind != "native":
-            passes.append(len(graphs))
-        return original(graphs, spec)
+            passes.append(len(dataset))
+        return original(dataset, spec)
 
     def alone(*args):
         raise AssertionError("a graph was weighed on its own")
 
-    monkeypatch.setattr(kernels, "dataset_weights", counting)
+    for module in (filtration, kernels):
+        monkeypatch.setattr(module, "dataset_weights", counting)
     # small graphs and lambda=3 are within the batched pass's bounds
     for name in ("compute_weights", "_walk_totals"):
         monkeypatch.setattr(filtration, name, alone)
@@ -276,6 +277,25 @@ def test_compute_and_gram_matrix_weigh_each_graph_once(tmp_path, mini_tud_dir, m
     ds = random_dataset(34, 6, max_n=7)
     gram_matrix(ds, WeightFunctionSpec("walks", walk_length=3), 2, KernelConfig(h=1))
     assert passes == [len(ds)]
+
+
+@pytest.mark.parametrize("weights", ["native", "degree", "walks"])
+def test_compute_and_inspect_build_no_labeled_graph(tmp_path, mini_tud_dir, monkeypatch,
+                                                     weights):
+    # TUDataset files stay flat arrays from the loader to the Gram matrix
+    csl_dir = str(tmp_path / "csl")
+    assert _run_cli("csl", "--out", csl_dir, "--name", "CSL", "--copies", "2",
+                    "--seed", "0") == 0
+
+    def refuse(self):
+        raise AssertionError("a LabeledGraph was built")
+
+    monkeypatch.setattr(LabeledGraph, "__post_init__", refuse)
+    for directory, name in ((mini_tud_dir, "MINI20"), (csl_dir, "CSL")):
+        flags = ["--dataset", directory, "--name", name, "--weights", weights,
+                 "--lambda", "3", "--k", "auto", "--h", "2"]
+        assert _run_cli("compute", *flags, "--out", str(tmp_path / f"{name}.csv")) == 0
+        assert _run_cli("inspect", *flags) == 0
 
 
 def test_libsvm_field_count_small(tmp_path):

@@ -22,7 +22,6 @@ from wlfiltration import (
     reweight,
 )
 from wlfiltration import wl
-from wlfiltration.kernels import reweight_dataset
 
 from conftest import path3, prism_graph, random_dataset, random_graph
 from kernel_reference import FiltrationHistogram, dump_feature_table, tables_from
@@ -279,8 +278,8 @@ def test_extract_all_matches_reference(spread, data, h):
 
 def test_extract_all_refines_only_levels_that_add_an_edge(monkeypatch):
     # CSL-10 under walk weights: each graph's edges share few distinct levels
-    dataset = reweight_dataset(generate_csl_benchmark(copies=1, seed=0),
-                               WeightFunctionSpec("walks", walk_length=7))
+    dataset = reweight(generate_csl_benchmark(copies=1, seed=0),
+                       WeightFunctionSpec("walks", walk_length=7))
     filt = build_filtration(dataset, WeightFunctionSpec(), "auto")
     k = len(filt)
     ascending = filt.thresholds[::-1]
@@ -304,8 +303,8 @@ def test_extract_all_numbers_labels_across_the_whole_dataset():
     # no graph in between holds among them
     graphs = list(random_dataset(12, 200, min_n=6, max_n=14).graphs)
     graphs[199] = graphs[0]
-    dataset = reweight_dataset(GraphDataset(tuple(graphs), (0,) * 200),
-                               WeightFunctionSpec("degree"))
+    dataset = reweight(GraphDataset(tuple(graphs), (0,) * 200),
+                       WeightFunctionSpec("degree"))
     filt = build_filtration(dataset, WeightFunctionSpec(), 4)
     store = extract_all(dataset.graphs, filt, 3)
     first, last = store.graph == 0, store.graph == 199
