@@ -10,15 +10,12 @@ from .csl import csl_graph, generate_csl, generate_csl_benchmark
 from .filtration import (
     Filtration,
     WeightFunctionSpec,
-    compute_weights,
     dataset_weights,
-    filtration_graph,
-    filtration_sequence,
     fit_thresholds,
     fit_thresholds_auto,
     reweight,
 )
-from .gram_io import RunManifest, load_manifest, read_gram_csv, write_gram
+from .gram_io import RunManifest, load_manifest, write_gram
 from .graphs import (
     DatasetFormatError,
     GraphDataset,
@@ -27,23 +24,11 @@ from .graphs import (
     permute_graph,
     write_tud_dataset,
 )
-from .kernels import (
-    GramMatrix,
-    KernelConfig,
-    build_filtration,
-    gram_matrix,
-    squared_kernel_distance,
-)
-from .transport import (
-    GroundLine,
-    base_kernel,
-    wasserstein_1d,
-    wasserstein_cdf_points,
-    wasserstein_matching,
-)
+from .kernels import GramMatrix, KernelConfig, build_filtration, gram_matrix
+from .transport import GroundLine, wasserstein_cdf_points
 from .wl import FeatureCounts, extract_all
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "DatasetFormatError",
@@ -56,14 +41,10 @@ __all__ = [
     "LabeledGraph",
     "RunManifest",
     "WeightFunctionSpec",
-    "base_kernel",
     "build_filtration",
-    "compute_weights",
     "csl_graph",
     "dataset_weights",
     "extract_all",
-    "filtration_graph",
-    "filtration_sequence",
     "fit_thresholds",
     "fit_thresholds_auto",
     "generate_csl",
@@ -72,12 +53,8 @@ __all__ = [
     "load_manifest",
     "load_tud_dataset",
     "permute_graph",
-    "read_gram_csv",
     "reweight",
-    "squared_kernel_distance",
-    "wasserstein_1d",
     "wasserstein_cdf_points",
-    "wasserstein_matching",
     "write_gram",
     "write_tud_dataset",
 ]

@@ -1,11 +1,11 @@
-"""Edge-weight functions, k-means threshold fitting, and filtration graphs."""
+"""Edge-weight functions and k-means threshold fitting."""
 
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,6 +21,8 @@ _UINT64_MAX = 2**64 - 1
 # Blocks of 8 starts ran faster there than blocks of 16 (2 vCPUs).
 _FIT_BLOCK_ENTRIES = 1 << 14
 _FIT_BLOCK_MIN_ROWS = 8
+# the largest float64 whose square is finite
+_FIT_MAX_TOTAL = math.sqrt(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -126,11 +128,6 @@ def _walk_totals(n: int, ends: np.ndarray, walk_length: int) -> np.ndarray:
     return _exact_array(totals.tolist()) if dtype is object else totals
 
 
-def compute_weights(g: LabeledGraph, spec: WeightFunctionSpec) -> tuple[float, ...]:
-    """Edge-weight assignment for g under the chosen weight function."""
-    return tuple(dataset_weights(GraphDataset((g,), (0,)), spec).tolist())
-
-
 def dataset_weights(dataset: GraphDataset, spec: WeightFunctionSpec) -> np.ndarray:
     """The edge weights of every graph under `spec`, aligned with `dataset.ends`.
 
@@ -209,11 +206,14 @@ def _batched_walk_totals(ends, m, n, deg, walk_length: int) -> np.ndarray:
 
 
 def reweight(data: LabeledGraph | GraphDataset, spec: WeightFunctionSpec):
-    """Copy of a graph or a dataset (in one pass) carrying the weights computed by `spec`."""
+    """Copy of a graph or a dataset carrying the weights computed by `spec`.
+
+    A graph is reweighted as a one-graph dataset, by the same pass.
+    """
     if spec.kind == "native":
         return data
     if isinstance(data, LabeledGraph):
-        return data.with_weights(compute_weights(data, spec))
+        return reweight(GraphDataset((data,), (0,)), spec).graphs[0]
     return data._with_weights(dataset_weights(data, spec))
 
 
@@ -246,34 +246,38 @@ def fit_thresholds(dataset_weights: Iterable[float], k: int) -> Filtration:
 
     # Sequential sums from 0.0, so they round like a running Python total.
     x = np.array(values, dtype=np.float64)
+    # every cluster sum is at most the absolute total, so no square overflows
+    total = np.abs(x).sum()
+    if not total <= _FIT_MAX_TOTAL:
+        raise ValueError(
+            f"edge weights too large for the threshold fit: their absolute sum {total:.6g} "
+            f"exceeds {_FIT_MAX_TOTAL:.6g}, above which squared sums overflow float64"
+        )
     prefix = np.cumsum(np.concatenate(([0.0], x)))
     prefix_sq = np.cumsum(np.concatenate(([0.0], x * x)))
     sizes = np.arange(1, d + 1, dtype=np.float64)
 
-    def sse_from(i: int) -> np.ndarray:
-        """Within-cluster SSE of values[i..j] for every end j = i..d-1."""
-        s = prefix[i + 1:] - prefix[i]
-        sq = prefix_sq[i + 1:] - prefix_sq[i]
-        return sq - s * s / sizes[:d - i]
-
     # suffix[t, i] = minimal SSE partitioning values[i..d-1] into t clusters
-    # (inf for more clusters than values). The clusters before start i number
-    # k - t >= 1 unless t == k and i == 0, so layer k is only needed at 0.
+    # (inf for more clusters than values), and end[t, i] the end of the first
+    # of those clusters; argmin takes the first minimal end, so ties prefer
+    # the shorter cluster. The clusters before start i number k - t >= 1
+    # unless t == k and i == 0, so layer k is only needed at 0.
     suffix = np.full((k + 1, d + 1), np.inf)
     suffix[0, d] = 0.0
+    end = np.zeros((k + 1, d), dtype=np.intp)
     # three scratch blocks, reused so that no block allocates memory anew
     buffers = np.empty((3, min(max(_FIT_BLOCK_ENTRIES, _FIT_BLOCK_MIN_ROWS * d), d * d)))
     hi = d
-    while hi > 1:
+    while hi > 0:
         # rows * (d - hi + rows) entries: the block's starts times its ends
         wide = d - hi
         rows = (math.isqrt(wide * wide + 4 * _FIT_BLOCK_ENTRIES) - wide) // 2
         rows = max(_FIT_BLOCK_MIN_ROWS, rows)
-        lo = max(1, hi - rows)
+        lo = max(0, hi - rows)
         shape = (hi - lo, d - lo)
         s, sq, size = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
-        # cluster values[i..j] for start i = lo + row and end j = lo + column;
-        # sse_from's arithmetic, with size j + 1 - i exact in float64
+        # SSE of cluster values[i..j] for start i = lo + row and end
+        # j = lo + column, with size j + 1 - i exact in float64
         np.subtract(prefix[lo + 1:], prefix[lo:hi, None], out=s)
         np.subtract(prefix_sq[lo + 1:], prefix_sq[lo:hi, None], out=sq)
         np.subtract(sizes[lo:], np.arange(lo, hi, dtype=np.float64)[:, None], out=size)
@@ -283,19 +287,18 @@ def fit_thresholds(dataset_weights: Iterable[float], k: int) -> Filtration:
         sse[:, :shape[0]][np.tri(shape[0], k=-1, dtype=bool)] = np.inf  # ends before starts
         # layer t reads layer t - 1 at larger starts only: this block's rows
         # above each start, and the blocks already filled
-        for t in range(1, min(k - 1, d - lo) + 1):
-            suffix[t, lo:hi] = np.add(sse, suffix[t - 1, lo + 1:], out=s).min(axis=1)
+        row = np.arange(hi - lo)
+        for t in range(1, min(k if lo == 0 else k - 1, d - lo) + 1):
+            cost = np.add(sse, suffix[t - 1, lo + 1:], out=s)
+            suffix[t, lo:hi] = cost[row, cost.argmin(axis=1, out=end[t, lo:hi])]
+        end[:, lo:hi] += lo  # columns to ends
         hi = lo
-    suffix[k, 0] = (sse_from(0)[:d - k + 1] + suffix[k - 1, 1:d - k + 2]).min()
 
-    # Walk forward taking the shortest cluster achieving the optimum, which
-    # makes cluster sizes lexicographically minimal.
     minima = []
     i = 0
     for t in range(k, 0, -1):
-        cost = sse_from(i)[:d - t + 1 - i] + suffix[t - 1, i + 1:d - t + 2]
         minima.append(values[i])
-        i += int(np.flatnonzero(cost <= suffix[t, i])[0]) + 1
+        i = end[t, i] + 1
     return Filtration(tuple(reversed(minima)))
 
 
@@ -305,19 +308,3 @@ def fit_thresholds_auto(dataset_weights: Iterable[float]) -> Filtration:
     if not values:
         raise ValueError("empty edge-weight multiset")
     return Filtration(tuple(values))
-
-
-def filtration_graph(g: LabeledGraph, alpha: float) -> LabeledGraph:
-    """Subgraph keeping every edge of weight >= alpha; vertices and labels unchanged."""
-    keep = [i for i, w in enumerate(g.weights) if w >= alpha]
-    return LabeledGraph(
-        n=g.n,
-        edges=tuple(g.edges[i] for i in keep),
-        labels=g.labels,
-        weights=tuple(g.weights[i] for i in keep),
-    )
-
-
-def filtration_sequence(g: LabeledGraph, filtration: Filtration) -> list[LabeledGraph]:
-    """The nested graphs G_1 ⊆ ... ⊆ G_k for g under the given thresholds."""
-    return [filtration_graph(g, alpha) for alpha in filtration.thresholds]

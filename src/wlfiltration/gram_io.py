@@ -52,20 +52,6 @@ def write_gram(matrix: GramMatrix, fmt: str, path: str) -> None:
             fh.write("\n")
 
 
-def read_gram_csv(path: str) -> np.ndarray:
-    """Parse a csv Gram file back into a float matrix."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    matrix = np.array(rows, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"{path} does not hold a square matrix")
-    return matrix
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce one kernel-computation run."""

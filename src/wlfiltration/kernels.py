@@ -132,11 +132,6 @@ def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) 
     return np.exp(-config.gamma * w1_sum - config.beta * (sq[:, None] + sq[None, :] - 2 * acc))
 
 
-def squared_kernel_distance(values: np.ndarray, i: int, j: int) -> float:
-    """Squared feature-space distance K(i,i) + K(j,j) - 2 K(i,j)."""
-    return float(values[i, i] + values[j, j] - 2.0 * values[i, j])
-
-
 def gram_matrix(
     dataset: GraphDataset,
     spec: WeightFunctionSpec,

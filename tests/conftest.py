@@ -1,7 +1,9 @@
-"""Shared fixtures: deterministic random graphs and the two 3-regular witnesses."""
+"""Shared fixtures: deterministic random graphs, the two 3-regular witnesses
+and a reader for csv Gram files."""
 
 import random
 
+import numpy as np
 import pytest
 
 from wlfiltration import GraphDataset, LabeledGraph, write_tud_dataset
@@ -39,6 +41,20 @@ def k33_graph() -> LabeledGraph:
 
 def path3(w_ab: float = 0.0, w_bc: float = 0.0) -> LabeledGraph:
     return LabeledGraph.build(3, [(0, 1), (1, 2)], weights=[w_ab, w_bc])
+
+
+def read_gram_csv(path: str) -> np.ndarray:
+    """Parse a csv Gram file back into a float matrix."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                rows.append([float(tok) for tok in line.split(",")])
+    matrix = np.array(rows, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{path} does not hold a square matrix")
+    return matrix
 
 
 @pytest.fixture(scope="session")

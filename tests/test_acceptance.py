@@ -12,6 +12,7 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
 from wlfiltration import (
     Filtration,
@@ -24,9 +25,6 @@ from wlfiltration import (
     gram_matrix,
     load_tud_dataset,
     permute_graph,
-    squared_kernel_distance,
-    wasserstein_1d,
-    wasserstein_matching,
     write_gram,
 )
 from wlfiltration.cli import main as cli_main
@@ -36,7 +34,10 @@ from kernel_reference import (
     filtration_kernel_pair,
     histogram_kernel_pair,
     product_kernel_pair,
+    squared_kernel_distance,
     tables_from,
+    wasserstein_1d,
+    wasserstein_matching,
 )
 from test_transport import random_line, random_rational_hist
 
@@ -179,6 +180,9 @@ def test_criterion_6_csl_distinguishability():
     ))
 
 
+# Degree weights give some of these graphs a single distinct weight, so k=2
+# shrinks to 1 for them; the invariance must hold either way.
+@pytest.mark.filterwarnings("ignore:.*filtration length reduced:UserWarning")
 def test_criterion_7_isomorphism_invariance():
     rng = random.Random(107)
     worst = 0.0

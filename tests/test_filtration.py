@@ -13,10 +13,7 @@ from wlfiltration import (
     GraphDataset,
     LabeledGraph,
     WeightFunctionSpec,
-    compute_weights,
     dataset_weights,
-    filtration_graph,
-    filtration_sequence,
     fit_thresholds,
     fit_thresholds_auto,
     permute_graph,
@@ -26,6 +23,7 @@ from wlfiltration import (
 from wlfiltration import filtration
 
 from conftest import k33_graph, path3, prism_graph, random_graph
+from wl_reference import filtration_graph, filtration_sequence
 
 K3 = LabeledGraph.build(3, [(0, 1), (1, 2), (2, 0)])
 K4 = LabeledGraph.build(4, list(itertools.combinations(range(4), 2)))
@@ -34,14 +32,14 @@ TRIANGLES = WeightFunctionSpec("triangles")
 
 
 def _walks(g: LabeledGraph, walk_length: int) -> tuple[int, ...]:
-    return compute_weights(g, WeightFunctionSpec("walks", walk_length=walk_length))
+    return reweight(g, WeightFunctionSpec("walks", walk_length=walk_length)).weights
 
 
 def test_weight_degree_examples():
-    assert compute_weights(path3(), DEGREE) == (2, 2)
-    assert compute_weights(K3, DEGREE) == (2, 2, 2)
+    assert reweight(path3(), DEGREE).weights == (2, 2)
+    assert reweight(K3, DEGREE).weights == (2, 2, 2)
     star = LabeledGraph.build(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert compute_weights(star, DEGREE) == (4, 4, 4, 4)
+    assert reweight(star, DEGREE).weights == (4, 4, 4, 4)
 
 
 def test_weight_walks_examples():
@@ -84,12 +82,12 @@ def test_weight_walks_overflow_names_lambda():
 
 def test_weight_triangles_witness_pair():
     prism, k33 = prism_graph(), k33_graph()
-    by_edge = dict(zip(prism.edges, compute_weights(prism, TRIANGLES)))
+    by_edge = dict(zip(prism.edges, reweight(prism, TRIANGLES).weights))
     triangle_edges = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
     for edge, w in by_edge.items():
         assert w == (1 if edge in triangle_edges else 0)
-    assert compute_weights(k33, TRIANGLES) == (0,) * 9
-    assert compute_weights(K4, TRIANGLES) == (2,) * 6
+    assert reweight(k33, TRIANGLES).weights == (0,) * 9
+    assert reweight(K4, TRIANGLES).weights == (2,) * 6
 
 
 def _weight_triangles_reference(g: LabeledGraph) -> tuple[int, ...]:
@@ -165,7 +163,7 @@ def test_walk_and_triangle_weights_match_reference(g, walk_length):
     want = _weight_walks_reference(g, walk_length)
     _assert_same_weights(_walks(g, walk_length), want)
     _assert_same_weights(_walk_totals(g, walk_length), want)
-    _assert_same_weights(compute_weights(g, TRIANGLES), _weight_triangles_reference(g))
+    _assert_same_weights(reweight(g, TRIANGLES).weights, _weight_triangles_reference(g))
 
 
 @pytest.mark.parametrize("entries", [1, 40])
@@ -280,16 +278,32 @@ def test_dataset_weights_overflow_at_k3_lambda_65():
         dataset_weights(GraphDataset(graphs, (0, 0)), WeightFunctionSpec("walks", walk_length=65))
 
 
-def test_compute_weights_dispatch():
+def test_reweight_graph_dispatch():
     g = path3(3.0, 4.0)
-    assert compute_weights(g, WeightFunctionSpec("native")) == (3.0, 4.0)
-    assert compute_weights(g, WeightFunctionSpec("degree")) == (2, 2)
-    assert compute_weights(g, WeightFunctionSpec("triangles")) == (0, 0)
-    assert compute_weights(g, WeightFunctionSpec("walks", walk_length=2)) == (1, 1)
+    assert reweight(g, WeightFunctionSpec("native")).weights == (3.0, 4.0)
+    assert reweight(g, WeightFunctionSpec("degree")).weights == (2, 2)
+    assert reweight(g, WeightFunctionSpec("triangles")).weights == (0, 0)
+    assert reweight(g, WeightFunctionSpec("walks", walk_length=2)).weights == (1, 1)
     with pytest.raises(ValueError, match="unknown weight kind"):
         WeightFunctionSpec("betweenness")
     with pytest.raises(ValueError):
         WeightFunctionSpec("walks", walk_length=0)
+
+
+# K3's walk counts reach 2**63 at walk_length 64, so that dataset's column is
+# uint64 while the path's own counts alone are int64
+@settings(max_examples=100, deadline=None)
+@given(graphs=st.lists(_graphs_with_isolated_vertices(), min_size=1, max_size=6),
+       spec=st.sampled_from([DEGREE, TRIANGLES] + [
+           WeightFunctionSpec("walks", walk_length=lam) for lam in (1, 3, 9)]))
+@example(graphs=[path3(), _complete_graph(3), LabeledGraph.build(0, [])],
+         spec=WeightFunctionSpec("walks", walk_length=64))
+def test_reweight_graph_matches_its_dataset_row(graphs, spec):
+    rows = reweight(GraphDataset(graphs, [0] * len(graphs)), spec).graphs
+    for g, row in zip(graphs, rows):
+        alone = reweight(g, spec)
+        assert alone == row
+        _assert_same_weights(alone.weights, row.weights)
 
 
 def test_fit_thresholds_examples():
@@ -465,6 +479,14 @@ def test_fit_thresholds_auto():
     assert fit_thresholds_auto([2.5] * 4).thresholds == (2.5,)
     with pytest.raises(ValueError):
         fit_thresholds_auto([])
+
+
+def test_fit_thresholds_rejects_weights_whose_squares_overflow():
+    # past 1.34e154 the squared cluster sums are inf, and the fit would pick
+    # clusters from inf and NaN costs
+    with pytest.raises(ValueError, match="too large for the threshold fit"):
+        fit_thresholds([1.0, 2.0, 3.0, 1e160], 2)
+    assert fit_thresholds([1.0, 2.0, 1e150], 2).thresholds == (1e150, 1.0)
 
 
 def test_threshold_sequences_are_strictly_decreasing():

@@ -1,4 +1,5 @@
-"""Gram bytes pinned across versions, and the package version in one place.
+"""Gram bytes pinned across versions, the package version in one place, and
+the public names of the package.
 
 The digests were recorded with version 0.2.0, before assembly read the
 dataset-level feature counts; a change that moves any Gram entry by one ulp
@@ -11,6 +12,7 @@ import re
 
 import pytest
 
+import wlfiltration
 from wlfiltration import __version__, graphs
 from wlfiltration.cli import main
 
@@ -75,3 +77,21 @@ def test_pyproject_version_matches_package():
     with open(path, encoding="utf-8") as fh:
         declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE).group(1)
     assert declared == __version__
+
+
+# the pipeline's names; the oracles that only tests call live in tests/
+PUBLIC_NAMES = {
+    "DatasetFormatError", "FeatureCounts", "Filtration", "GramMatrix", "GraphDataset",
+    "GroundLine", "KernelConfig", "LabeledGraph", "RunManifest", "WeightFunctionSpec",
+    "build_filtration", "csl_graph", "dataset_weights", "extract_all", "fit_thresholds",
+    "fit_thresholds_auto", "generate_csl", "generate_csl_benchmark", "gram_matrix",
+    "load_manifest", "load_tud_dataset", "permute_graph", "reweight",
+    "wasserstein_cdf_points", "write_gram", "write_tud_dataset",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(wlfiltration.__all__) == len(PUBLIC_NAMES) == 26
+    assert set(wlfiltration.__all__) == PUBLIC_NAMES
+    for name in wlfiltration.__all__:
+        assert getattr(wlfiltration, name) is not None

@@ -22,7 +22,6 @@ from wlfiltration import (
     gram_matrix,
     permute_graph,
     reweight,
-    squared_kernel_distance,
 )
 from wlfiltration import kernels
 
@@ -33,6 +32,7 @@ from kernel_reference import (
     filtration_kernel_pair,
     histogram_kernel_pair,
     product_kernel_pair,
+    squared_kernel_distance,
     tables_from,
 )
 

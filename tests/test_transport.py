@@ -6,13 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from wlfiltration import (
-    GroundLine,
-    base_kernel,
-    wasserstein_1d,
-    wasserstein_cdf_points,
-    wasserstein_matching,
-)
+from wlfiltration import GroundLine, wasserstein_cdf_points
+
+from kernel_reference import base_kernel, wasserstein_1d, wasserstein_matching
 
 
 def random_line(rng: random.Random, max_k: int = 8) -> GroundLine:

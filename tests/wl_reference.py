@@ -4,7 +4,7 @@ One refinement round interns (old label, sorted neighbour labels) per
 vertex, on a `LabeledGraph` built for each filtration level. Interning runs
 graph by graph, level by level, round by round and vertex by vertex, which
 fixes the ids `extract_all` must reproduce, and `LabelInterner` records the
-depth of each id.
+depth of each id. `filtration_graph` builds one level by Python comparisons.
 """
 
 from __future__ import annotations
@@ -12,9 +12,24 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from wlfiltration import Filtration, LabeledGraph
-from wlfiltration.filtration import filtration_graph
 
 from kernel_reference import FeatureTable, FiltrationHistogram
+
+
+def filtration_graph(g: LabeledGraph, alpha: float) -> LabeledGraph:
+    """Subgraph keeping every edge of weight >= alpha; vertices and labels unchanged."""
+    keep = [i for i, w in enumerate(g.weights) if w >= alpha]
+    return LabeledGraph(
+        n=g.n,
+        edges=tuple(g.edges[i] for i in keep),
+        labels=g.labels,
+        weights=tuple(g.weights[i] for i in keep),
+    )
+
+
+def filtration_sequence(g: LabeledGraph, filtration: Filtration) -> list[LabeledGraph]:
+    """The nested graphs G_1 ⊆ ... ⊆ G_k for g under the given thresholds."""
+    return [filtration_graph(g, alpha) for alpha in filtration.thresholds]
 
 
 class LabelInterner:
