@@ -96,15 +96,6 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for graph on {self.n} vertices")
-        return len(self.adjacency[v])
-
-    def with_weights(self, weights: Sequence[float]) -> "LabeledGraph":
-        """Same structure and labels, new per-edge weights (aligned with `edges`)."""
-        return LabeledGraph(self.n, self.edges, self.labels, tuple(weights))
-
 
 def permute_graph(g: LabeledGraph, perm: Sequence[int]) -> LabeledGraph:
     """Relabel vertices so vertex v becomes perm[v]; labels and weights ride along."""

@@ -1,5 +1,5 @@
-"""Shared fixtures: deterministic random graphs, the two 3-regular witnesses
-and a reader for csv Gram files."""
+"""Shared fixtures: deterministic random graphs, the two 3-regular witnesses,
+graph helpers (`with_weights`, `degree`) and a reader for csv Gram files."""
 
 import random
 
@@ -41,6 +41,17 @@ def k33_graph() -> LabeledGraph:
 
 def path3(w_ab: float = 0.0, w_bc: float = 0.0) -> LabeledGraph:
     return LabeledGraph.build(3, [(0, 1), (1, 2)], weights=[w_ab, w_bc])
+
+
+def with_weights(g: LabeledGraph, weights) -> LabeledGraph:
+    """Same structure and labels as g, new per-edge weights (aligned with `g.edges`)."""
+    return LabeledGraph(g.n, g.edges, g.labels, tuple(weights))
+
+
+def degree(g: LabeledGraph, v: int) -> int:
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for graph on {g.n} vertices")
+    return len(g.adjacency[v])
 
 
 def read_gram_csv(path: str) -> np.ndarray:

@@ -15,6 +15,8 @@ from wlfiltration import (
 )
 from wlfiltration.csl import BENCHMARK_SKIPS
 
+from conftest import degree
+
 
 def adjacency_spectrum(g):
     a = np.zeros((g.n, g.n))
@@ -27,14 +29,14 @@ def test_csl_graph_41_2():
     g = csl_graph(41, 2)
     assert g.n == 41
     assert g.edge_count == 82
-    assert all(g.degree(v) == 4 for v in range(41))
+    assert all(degree(g, v) == 4 for v in range(41))
 
 
 def test_csl_graph_8_3():
     g = csl_graph(8, 3)
     assert g.n == 8
     assert g.edge_count == 16
-    assert all(g.degree(v) == 4 for v in range(8))
+    assert all(degree(g, v) == 4 for v in range(8))
 
 
 def test_csl_graph_invalid_parameters():

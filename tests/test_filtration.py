@@ -22,7 +22,7 @@ from wlfiltration import (
 
 from wlfiltration import filtration
 
-from conftest import k33_graph, path3, prism_graph, random_graph
+from conftest import k33_graph, path3, prism_graph, random_graph, with_weights
 from wl_reference import filtration_graph, filtration_sequence
 
 K3 = LabeledGraph.build(3, [(0, 1), (1, 2), (2, 0)])
@@ -553,7 +553,7 @@ def test_isomorphic_graphs_give_isomorphic_filtrations():
     rng = random.Random(23)
     for _ in range(10):
         g = random_graph(rng, max_n=8)
-        g = g.with_weights([round(rng.uniform(0, 2), 2) for _ in g.edges])
+        g = with_weights(g, [round(rng.uniform(0, 2), 2) for _ in g.edges])
         perm = list(range(g.n))
         rng.shuffle(perm)
         p = permute_graph(g, perm)

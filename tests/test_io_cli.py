@@ -1,9 +1,12 @@
 """Gram serialization, run manifests, and the command-line pipeline."""
 
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlfiltration import (
     GramMatrix,
@@ -17,8 +20,9 @@ from wlfiltration import (
     write_gram,
     write_tud_dataset,
 )
+from wlfiltration import gram_io
 from wlfiltration.cli import main, replay
-from wlfiltration.gram_io import _fmt, manifest_path_for
+from wlfiltration.gram_io import FORMATS, _fmt, _format_values, manifest_path_for
 
 from conftest import random_dataset, read_gram_csv
 
@@ -84,6 +88,76 @@ def test_write_gram_matches_per_entry_format(tmp_path):
 def test_write_gram_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="format"):
         write_gram(small_gram(), "hdf5", str(tmp_path / "x"))
+
+
+def _powers_of_ten_and_neighbours():
+    for p in range(-323, 309):
+        x = float(f"1e{p}")
+        yield from (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))
+
+
+# signed zeros, NaN, infinities, the smallest subnormal, Dragon4's early stop
+# (0.5, 0.25, 0.00123, the tie 2**-25) against a rounded-down 0.01 and 0.0123,
+# both ends of the '%.*f' range and values just past them, and every power of
+# ten one ulp either side
+FORMAT_EDGE_CASES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.5, -0.5, 0.25,
+    0.01, 0.0123, 0.00123, 2.0 ** -25, 1e15 - 0.125, 1e-300, 1e-290, 123.5,
+    3e15, 2.5e16, 3e-291,
+    *_powers_of_ten_and_neighbours(),
+]
+
+
+def test_bulk_format_matches_fmt_on_edge_cases():
+    values = np.array(FORMAT_EDGE_CASES, dtype=np.float64)
+    assert _format_values(values).tolist() == [_fmt(x) for x in values]
+
+
+_common = st.floats(min_value=1e-290, max_value=1e15, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(0, 2 ** 64 - 1),  # any float64 bit pattern
+    _common.map(lambda x: int(np.float64(x).view(np.uint64))),
+    _common.map(lambda x: int(np.float64(-x).view(np.uint64))),
+    st.floats(0.0, 1.0).map(lambda x: int(np.float64(x).view(np.uint64))),
+), max_size=60))
+def test_bulk_format_matches_fmt_on_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert _format_values(values).tolist() == [_fmt(x) for x in values]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_write_gram_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, chunk):
+    rng = np.random.default_rng(5)
+    values = np.concatenate([rng.uniform(0.0, 1.0, 60), rng.uniform(0.0, 1e4, 57),
+                             np.round(rng.uniform(0.0, 1.0, 60), 3),
+                             FORMAT_EDGE_CASES[:16], np.ones(3)])
+    matrix = GramMatrix(values.reshape(14, 14), tuple(range(14)), (1.0,))
+    for fmt in FORMATS:
+        write_gram(matrix, fmt, str(tmp_path / f"whole.{fmt}"))
+    monkeypatch.setattr(gram_io, "_FORMAT_CHUNK", chunk)
+    for fmt in FORMATS:
+        write_gram(matrix, fmt, str(tmp_path / f"chunked.{fmt}"))
+        assert ((tmp_path / f"chunked.{fmt}").read_bytes()
+                == (tmp_path / f"whole.{fmt}").read_bytes())
+
+
+def test_write_gram_rejects_labels_that_do_not_match_the_values(tmp_path):
+    path = tmp_path / "gram.libsvm"
+    matrix = GramMatrix(np.eye(3), (0, 1), (1.0,))
+    with pytest.raises(ValueError, match=r"shape \(3, 3\), expected \(2, 2\) for 2 class labels"):
+        write_gram(matrix, "libsvm", str(path))
+    assert not path.exists()
+
+
+def test_write_gram_rejects_non_square_values(tmp_path):
+    path = tmp_path / "gram.csv"
+    matrix = GramMatrix(np.ones((2, 3)), (0, 1), (1.0,))
+    with pytest.raises(ValueError, match=r"shape \(2, 3\), expected \(2, 2\)"):
+        write_gram(matrix, "csv", str(path))
+    assert not path.exists()
 
 
 def _run_cli(*argv) -> int:

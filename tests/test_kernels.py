@@ -25,7 +25,7 @@ from wlfiltration import (
 )
 from wlfiltration import kernels
 
-from conftest import k33_graph, prism_graph, random_dataset, random_graph
+from conftest import k33_graph, prism_graph, random_dataset, random_graph, with_weights
 from kernel_reference import (
     FeatureTable,
     FiltrationHistogram,
@@ -316,7 +316,7 @@ def weighted_dataset(seed, count=7):
     depth has a singleton feature."""
     rng = random.Random(seed)
     graphs = [random_graph(rng, max_n=9) for _ in range(count)]
-    graphs = [g.with_weights([rng.choice(WEIGHT_GRID) for _ in g.edges]) for g in graphs]
+    graphs = [with_weights(g, [rng.choice(WEIGHT_GRID) for _ in g.edges]) for g in graphs]
     path = [(v, v + 1) for v in range(len(WEIGHT_GRID))]
     graphs.append(LabeledGraph.build(len(path) + 1, path, [7] + [0] * len(path), WEIGHT_GRID))
     return GraphDataset(tuple(graphs), tuple(range(len(graphs))))

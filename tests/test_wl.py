@@ -23,7 +23,7 @@ from wlfiltration import (
 )
 from wlfiltration import wl
 
-from conftest import path3, prism_graph, random_dataset, random_graph
+from conftest import path3, prism_graph, random_dataset, random_graph, with_weights
 from kernel_reference import FiltrationHistogram, dump_feature_table, tables_from
 from wl_reference import LabelInterner, extract_all_reference, wl_refine
 
@@ -124,7 +124,7 @@ def test_extract_mass_accounting():
     rng = random.Random(4)
     for _ in range(15):
         g = random_graph(rng, max_n=9)
-        g = g.with_weights([rng.choice([0, 1, 2]) for _ in g.edges])
+        g = with_weights(g, [rng.choice([0, 1, 2]) for _ in g.edges])
         thresholds = tuple(sorted({0.0, 1.0, 2.0} & set(map(float, g.weights)) | {0.0},
                                   reverse=True)) or (0.0,)
         filt = Filtration(thresholds)
@@ -138,7 +138,7 @@ def test_extract_permutation_invariance():
     rng = random.Random(5)
     for _ in range(10):
         g = random_graph(rng, max_n=8)
-        g = g.with_weights([rng.choice([1, 2]) for _ in g.edges])
+        g = with_weights(g, [rng.choice([1, 2]) for _ in g.edges])
         perm = list(range(g.n))
         rng.shuffle(perm)
         p = permute_graph(g, perm)
@@ -150,7 +150,7 @@ def test_extract_permutation_invariance():
 def test_extract_all_threaded_matches_sequential():
     rng = random.Random(6)
     graphs = [random_graph(rng, max_n=8, num_labels=4) for _ in range(12)]
-    graphs = [g.with_weights([rng.choice([0, 1]) for _ in g.edges]) for g in graphs]
+    graphs = [with_weights(g, [rng.choice([0, 1]) for _ in g.edges]) for g in graphs]
     filt = Filtration((1.0, 0.0))
     sequential = extract_all(graphs, filt, 2, threads=1)
     parallel = extract_all(graphs, filt, 2, threads=4)
@@ -231,7 +231,7 @@ def assert_store_invariants(store, num_graphs, k):
 def test_feature_counts_invariants():
     rng = random.Random(9)
     graphs = [random_graph(rng, max_n=9, num_labels=3) for _ in range(15)]
-    graphs = [g.with_weights([rng.choice([0, 1, 2]) for _ in g.edges]) for g in graphs]
+    graphs = [with_weights(g, [rng.choice([0, 1, 2]) for _ in g.edges]) for g in graphs]
     filt = Filtration((2.0, 1.0, 0.0))
     store = extract_all(graphs, filt, 2)
     assert_store_invariants(store, 15, 3)
