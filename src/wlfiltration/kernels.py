@@ -71,14 +71,18 @@ def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) 
     Each row's histogram becomes its CDF scaled by the gaps between
     thresholds; on a line W1 is the L1 distance between such rows. Every row
     adds its squared mass to its graph's diagonal entry (W1 is 0 there), and
-    every pair of rows of one feature adds a term to both of its entries:
+    every pair of rows of one feature adds a term to the pair's entry:
     m_a * m_c * exp(-gamma * W1) for the linear variant. The product variant
     sums W1 in float and the mass products exactly in int64, then takes
     exp(-gamma * sum W1 - beta * (|m_i|^2 + |m_j|^2 - 2 <m_i, m_j>)).
 
-    The pairs are visited in bounded chunks of consecutive rows, and
-    `np.add.at` adds in index order, so every entry sums its terms in
-    ascending feature id, however the rows are chunked.
+    A row whose feature no other graph holds adds to the diagonal only, so
+    only the rows of shared features get CDFs and pairs. Graph ids ascend
+    inside a feature block, so every pair term goes to the upper entry
+    (g_a, g_c), g_a < g_c; the matrix is mirrored once at the end and its
+    diagonal written. The pairs are visited in bounded chunks of consecutive
+    rows, and `np.add.at` adds in index order, so every entry sums its terms
+    in ascending feature id, however the rows are chunked.
     """
     if store.num_levels != len(line):
         raise ValueError(
@@ -87,22 +91,30 @@ def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) 
         )
     n = store.num_graphs
     product = config.variant == "product"
-    graph = store.graph
-    mass = store.counts.sum(axis=1)
-    gaps = np.asarray(line.gaps, dtype=np.float64)
-    cdf = np.cumsum(store.counts[:, :-1], axis=1) / mass[:, None] * gaps
     # linear: the kernel; product: the shared mass <m_i, m_j>, exact
     acc = np.zeros((n, n), dtype=np.int64 if product else np.float64)
+    mass = store.counts.sum(axis=1)
+    # cast first: `ufunc.at` has a fast loop only when the value dtype
+    # matches the target's; the mixed add cast each value the same way
+    diag = np.zeros(n, dtype=acc.dtype)
+    np.add.at(diag, store.graph, (mass * mass).astype(acc.dtype, copy=False))
+
+    # the rows of features held by two or more graphs
+    block_start = np.flatnonzero(np.diff(store.feature, prepend=-1))
+    size = np.diff(block_start, append=len(store.feature))
+    shared = np.repeat(size > 1, size)
+    graph, mass = store.graph[shared], mass[shared]
+    cdf = np.cumsum(store.counts[shared, :-1], axis=1) / mass[:, None]
+    cdf *= np.asarray(line.gaps, dtype=np.float64)
     w1_sum = np.zeros((n, n)) if product else None
     # 1-D views: np.add.at is far faster on flat indices than on index pairs
     flat_acc = acc.reshape(-1)
-    np.add.at(flat_acc, graph * (n + 1), mass * mass)
 
     # row r pairs with the later rows of its feature block
     rows = len(graph)
-    block_start = np.flatnonzero(np.diff(store.feature, prepend=-1))
-    block_end = np.append(block_start[1:], rows)
-    partners = np.repeat(block_end, np.diff(block_end, prepend=0)) - np.arange(rows) - 1
+    size = size[size > 1]
+    block_end = np.cumsum(size)
+    partners = np.repeat(block_end, size) - np.arange(rows) - 1
     through = np.cumsum(partners)
     chunk_pairs = max(1, _CHUNK_ENTRIES // max(1, cdf.shape[1]))
     lo = 0
@@ -115,21 +127,36 @@ def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) 
         diff = np.take(cdf, a, axis=0)
         diff -= np.take(cdf, c, axis=0)
         w1 = np.abs(diff, out=diff).sum(axis=1)
-        ga, gc = np.take(graph, a), np.take(graph, c)
+        upper = np.take(graph, a) * n + np.take(graph, c)
         mm = np.take(mass, a) * np.take(mass, c)
         if product:
-            terms = ((w1_sum.reshape(-1), w1), (flat_acc, mm))
+            np.add.at(w1_sum.reshape(-1), upper, w1)
+            np.add.at(flat_acc, upper, mm)
         else:
-            terms = ((flat_acc, mm * np.exp(-config.gamma * w1)),)
-        upper, lower = ga * n + gc, gc * n + ga
-        for target, value in terms:
-            np.add.at(target, upper, value)
-            np.add.at(target, lower, value)
+            np.add.at(flat_acc, upper, mm * np.exp(-config.gamma * w1))
         lo = hi
-    if not product:
-        return acc
-    sq = np.diag(acc)
-    return np.exp(-config.gamma * w1_sum - config.beta * (sq[:, None] + sq[None, :] - 2 * acc))
+    flat_acc[:: n + 1] = diag
+    if product:
+        # the lower triangles of acc and w1_sum are zero; the mirror below
+        # overwrites the entries computed from them
+        acc = np.exp(-config.gamma * w1_sum
+                     - config.beta * (diag[:, None] + diag[None, :] - 2 * acc))
+    _mirror_upper(acc)
+    return acc
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of square `a` onto its lower one, in place.
+
+    Row blocks bound the temporaries near `_CHUNK_ENTRIES` entries, where
+    `a += a.T` would copy all of `a`.
+    """
+    n = len(a)
+    step = max(1, _CHUNK_ENTRIES // max(1, n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        below = np.arange(hi) < np.arange(lo, hi)[:, None]
+        np.copyto(a[lo:hi, :hi], a[:hi, lo:hi].T, where=below)
 
 
 def gram_matrix(

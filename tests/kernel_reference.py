@@ -5,6 +5,9 @@ The pair kernels sum (or multiply) over the features two tables share, one
 sparse Wasserstein evaluation at a time, so they define every Gram entry
 independently of the dataset-level arrays `kernels.assemble_gram` reads.
 `tables_from` turns the `FeatureCounts` of `wl.extract_all` into tables.
+`assemble_gram_reference` is the dataset-level assembly of version 0.11.0,
+kept as the byte oracle of `assemble_gram`: it pairs every shared row, adds
+each term to both triangles and the diagonal with mixed dtypes.
 
 The dense closed-form distance `wasserstein_1d` and the sorted-atom-matching
 evaluation of the transport definition, `wasserstein_matching`, check
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from wlfiltration import FeatureCounts, GroundLine
+from wlfiltration import FeatureCounts, GroundLine, KernelConfig
 from wlfiltration.transport import wasserstein_cdf_points
 
 MASS_TOLERANCE = 1e-9
@@ -229,3 +232,76 @@ def histogram_kernel_pair(t1: FeatureTable, t2: FeatureTable) -> float:
     for fid in shared:
         total += 1.0 * t1.features[fid].mass * t2.features[fid].mass
     return total
+
+
+# Entry bound of an assembly chunk, as in `kernels`.
+_CHUNK_ENTRIES = 1 << 15
+
+
+def assemble_gram_reference(
+    store: FeatureCounts, line: GroundLine, config: KernelConfig
+) -> np.ndarray:
+    """Unnormalized kernel matrix from the dataset's feature counts.
+
+    Each row's histogram becomes its CDF scaled by the gaps between
+    thresholds; on a line W1 is the L1 distance between such rows. Every row
+    adds its squared mass to its graph's diagonal entry (W1 is 0 there), and
+    every pair of rows of one feature adds a term to both of its entries:
+    m_a * m_c * exp(-gamma * W1) for the linear variant. The product variant
+    sums W1 in float and the mass products exactly in int64, then takes
+    exp(-gamma * sum W1 - beta * (|m_i|^2 + |m_j|^2 - 2 <m_i, m_j>)).
+
+    The pairs are visited in bounded chunks of consecutive rows, and
+    `np.add.at` adds in index order, so every entry sums its terms in
+    ascending feature id, however the rows are chunked.
+    """
+    if store.num_levels != len(line):
+        raise ValueError(
+            f"feature counts over {store.num_levels} levels do not match "
+            f"ground line of length {len(line)}"
+        )
+    n = store.num_graphs
+    product = config.variant == "product"
+    graph = store.graph
+    mass = store.counts.sum(axis=1)
+    gaps = np.asarray(line.gaps, dtype=np.float64)
+    cdf = np.cumsum(store.counts[:, :-1], axis=1) / mass[:, None] * gaps
+    # linear: the kernel; product: the shared mass <m_i, m_j>, exact
+    acc = np.zeros((n, n), dtype=np.int64 if product else np.float64)
+    w1_sum = np.zeros((n, n)) if product else None
+    # 1-D views: np.add.at is far faster on flat indices than on index pairs
+    flat_acc = acc.reshape(-1)
+    np.add.at(flat_acc, graph * (n + 1), mass * mass)
+
+    # row r pairs with the later rows of its feature block
+    rows = len(graph)
+    block_start = np.flatnonzero(np.diff(store.feature, prepend=-1))
+    block_end = np.append(block_start[1:], rows)
+    partners = np.repeat(block_end, np.diff(block_end, prepend=0)) - np.arange(rows) - 1
+    through = np.cumsum(partners)
+    chunk_pairs = max(1, _CHUNK_ENTRIES // max(1, cdf.shape[1]))
+    lo = 0
+    while lo < rows:
+        hi = max(lo + 1, int(np.searchsorted(through, through[lo] - partners[lo] + chunk_pairs,
+                                             side="right")))
+        cnt = partners[lo:hi]
+        a = np.repeat(np.arange(lo, hi), cnt)
+        c = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        diff = np.take(cdf, a, axis=0)
+        diff -= np.take(cdf, c, axis=0)
+        w1 = np.abs(diff, out=diff).sum(axis=1)
+        ga, gc = np.take(graph, a), np.take(graph, c)
+        mm = np.take(mass, a) * np.take(mass, c)
+        if product:
+            terms = ((w1_sum.reshape(-1), w1), (flat_acc, mm))
+        else:
+            terms = ((flat_acc, mm * np.exp(-config.gamma * w1)),)
+        upper, lower = ga * n + gc, gc * n + ga
+        for target, value in terms:
+            np.add.at(target, upper, value)
+            np.add.at(target, lower, value)
+        lo = hi
+    if not product:
+        return acc
+    sq = np.diag(acc)
+    return np.exp(-config.gamma * w1_sum - config.beta * (sq[:, None] + sq[None, :] - 2 * acc))

@@ -29,6 +29,7 @@ from conftest import k33_graph, prism_graph, random_dataset, random_graph, with_
 from kernel_reference import (
     FeatureTable,
     FiltrationHistogram,
+    assemble_gram_reference,
     filtration_kernel_pair,
     histogram_kernel_pair,
     product_kernel_pair,
@@ -358,12 +359,84 @@ def test_assemble_row_chunks_do_not_change_values(monkeypatch, variant):
     assert np.count_nonzero(store.feature == 0) == len(graphs)
     line = GroundLine(filt.thresholds)
     cfg = KernelConfig(h=1, beta=0.05, variant=variant)
-    whole = kernels.assemble_gram(store, line, cfg)
-    # a chunk of e entries holds e // (k - 1) pairs, at least one
+    expected = assemble_gram_reference(store, line, cfg).tobytes()
+    assert kernels.assemble_gram(store, line, cfg).tobytes() == expected
+    # a chunk of e entries holds e // (k - 1) pairs, at least one; the
+    # mirror then copies one row at a time (21 // 35 rows: at least one)
     assert len(filt) == 6
     for entries in (1, 35):
         monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", entries)
-        assert np.array_equal(kernels.assemble_gram(store, line, cfg), whole)
+        assert kernels.assemble_gram(store, line, cfg).tobytes() == expected
+
+
+def shaped_store(seed, shape, k, h):
+    """Feature counts of a `weighted_dataset` variant, with the ground line.
+
+    'one' is the path alone and 'distinct' gives every vertex a label of its
+    own, so no feature is shared; 'copies' repeats the path, so every feature
+    is held by every graph; 'mixed' is `weighted_dataset` itself.
+    """
+    graphs = weighted_dataset(seed, count=5).graphs
+    if shape == "one":
+        graphs = graphs[-1:]
+    elif shape == "copies":
+        graphs = (graphs[-1],) * 4
+    elif shape == "distinct":
+        start = np.cumsum([0] + [g.n for g in graphs])
+        graphs = tuple(LabeledGraph.build(g.n, g.edges, range(lo, lo + g.n), g.weights)
+                       for g, lo in zip(graphs, start.tolist()))
+    ds = GraphDataset(tuple(graphs), (0,) * len(graphs))
+    filt = build_filtration(ds, WeightFunctionSpec("native"), k)
+    return extract_all(ds, filt, h), GroundLine(filt.thresholds)
+
+
+@pytest.mark.parametrize("variant", ["linear_combination", "product"])
+@pytest.mark.parametrize("k", [1, 2, 6])
+@pytest.mark.parametrize("h", [0, 2, 3])
+@pytest.mark.parametrize("shape", ["one", "distinct", "copies", "mixed"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_assemble_gram_bytes_match_reference(variant, k, h, shape, seed):
+    store, line = shaped_store(seed, shape, k, h)
+    holders = np.bincount(store.feature)[store.feature]
+    if shape in ("one", "distinct"):
+        assert np.all(holders == 1)
+    elif shape == "copies":
+        assert np.all(holders == store.num_graphs)
+    else:
+        assert np.any(holders == 1) and np.any(holders > 1)
+    cfg = KernelConfig(h=h, gamma=0.8, beta=0.05, variant=variant)
+    got = kernels.assemble_gram(store, line, cfg)
+    expected = assemble_gram_reference(store, line, cfg)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["linear_combination", "product"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_assemble_gram_symmetric_with_squared_mass_diagonal(variant, seed):
+    cfg = KernelConfig(h=2, gamma=0.8, beta=0.05, variant=variant)
+    for shape in ("mixed", "distinct"):
+        store, line = shaped_store(seed, shape, 6, 2)
+        K = kernels.assemble_gram(store, line, cfg)
+        assert np.array_equal(K, K.T)
+        # each graph's squared masses, summed in feature order
+        sq, fsq = [0] * store.num_graphs, [0.0] * store.num_graphs
+        for g, m in zip(store.graph.tolist(), store.counts.sum(axis=1).tolist()):
+            sq[g] += m * m
+            fsq[g] += float(m * m)
+        if variant == "linear_combination":
+            assert np.diag(K).tobytes() == np.array(fsq).tobytes()
+        else:
+            assert np.all(np.diag(K) == 1.0)
+        if variant == "product" and shape == "distinct":
+            # no shared feature: K(i, j) = exp(-beta * (sq_i + sq_j)), from int64 sq
+            sq = np.array(sq, dtype=np.int64)
+            expected = np.exp(-cfg.gamma * np.zeros_like(K)
+                              - cfg.beta * (sq[:, None] + sq[None, :]))
+            off = ~np.eye(len(sq), dtype=bool)
+            assert K[off].tobytes() == expected[off].tobytes()
 
 
 def test_assemble_rejects_counts_off_the_ground_line():

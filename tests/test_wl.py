@@ -315,6 +315,25 @@ def test_extract_all_numbers_labels_across_the_whole_dataset():
     assert tables_from(store) == extract_all_reference(dataset.graphs, filt, 3, LabelInterner())
 
 
+@pytest.mark.parametrize("h", [0, 3])
+def test_extract_all_matches_reference_with_signature_gaps(h):
+    # The centre of a 12-leaf star passes through 12 signature columns and
+    # keeps only the last, and the isolated vertices keep labels below the
+    # previous width that other labels leave unused: each round's signatures
+    # leave gaps below the bound that the dense class ids must skip.
+    leaves = [(0, v) for v in range(1, 13)]
+    star = LabeledGraph.build(15, leaves + [(1, 2), (3, 4)], [0, 1, 1, 2] + [1] * 9 + [3, 0],
+                              [v % 4 for v in range(1, 13)] + [5, 1])
+    path = LabeledGraph.build(4, [(0, 1), (1, 2)], [3, 1, 1, 2], [2, 0])
+    graphs = [star, LabeledGraph.build(0, []), path, LabeledGraph.build(2, [], [0, 3]), star]
+    filt = Filtration((5, 3, 2, 1, 0))
+    store = extract_all(graphs, filt, h)
+    reference = LabelInterner()
+    assert tables_from(store) == extract_all_reference(graphs, filt, h, reference)
+    assert store.depth.tolist() == [reference.depth_of[f] for f in range(len(reference))]
+    assert_store_invariants(store, len(graphs), len(filt))
+
+
 def test_extract_all_rejects_negative_h_without_graphs():
     with pytest.raises(ValueError, match="h must be >= 0"):
         extract_all([], Filtration((0.0,)), -1)
