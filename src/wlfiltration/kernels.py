@@ -79,8 +79,8 @@ def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) 
     A row whose feature no other graph holds adds to the diagonal only, so
     only the rows of shared features get CDFs and pairs. Graph ids ascend
     inside a feature block, so every pair term goes to the upper entry
-    (g_a, g_c), g_a < g_c; the matrix is mirrored once at the end and its
-    diagonal written. The pairs are visited in bounded chunks of consecutive
+    (g_a, g_c), g_a < g_c; the diagonal is written and the matrix mirrored
+    once at the end. The pairs are visited in bounded chunks of consecutive
     rows, and `np.add.at` adds in index order, so every entry sums its terms
     in ascending feature id, however the rows are chunked.
     """
