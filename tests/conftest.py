@@ -49,6 +49,8 @@ def with_weights(g: LabeledGraph, weights) -> LabeledGraph:
 
 
 def degree(g: LabeledGraph, v: int) -> int:
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for graph on {g.n} vertices")
     return len(g.adjacency[v])
 
 

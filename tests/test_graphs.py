@@ -75,10 +75,17 @@ def test_adjacency_sorted_and_degree_sum():
         g = random_graph(rng)
         for ns in g.adjacency:
             assert list(ns) == sorted(ns)
-        assert sum(len(ns) for ns in g.adjacency) == 2 * g.edge_count
-    assert LabeledGraph.build(1, []).adjacency == ((),)
-    assert len(path3().adjacency[1]) == 2
-    assert all(len(ns) == 4 for ns in csl_graph(41, 2).adjacency)
+        assert sum(degree(g, v) for v in range(g.n)) == 2 * g.edge_count
+
+
+def test_vertex_degree_examples():
+    isolated = LabeledGraph.build(1, [])
+    assert degree(isolated, 0) == 0
+    assert degree(path3(), 1) == 2
+    g = csl_graph(41, 2)
+    assert all(degree(g, v) == 4 for v in range(41))
+    with pytest.raises(ValueError, match="out of range"):
+        degree(isolated, 1)
 
 
 def test_permute_identity_and_reversal():
