@@ -3,20 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
 import numpy as np
 
 from .csl import generate_csl, generate_csl_benchmark
-from .filtration import WeightFunctionSpec, reweight
-from .gram_io import (
-    RunManifest,
-    ensure_parent_dir,
-    load_manifest,
-    manifest_path_for,
-    write_gram,
-)
+from .filtration import WEIGHT_KINDS, WeightFunctionSpec, reweight
+from .gram_io import FORMATS, RunManifest, load_manifest, manifest_path_for, write_gram
 from .graphs import load_tud_dataset, write_tud_dataset
 from .kernels import KernelConfig, build_filtration, gram_matrix
 from .wl import extract_all
@@ -44,7 +39,7 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 def _add_weight_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--weights",
-        choices=("native", "degree", "walks", "triangles"),
+        choices=WEIGHT_KINDS,
         default="native",
         help="edge-weight function applied before filtering",
     )
@@ -74,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--beta", type=float, default=1.0, help="mass RBF decay (product variant)")
     p_compute.add_argument("--variant", choices=tuple(_VARIANT_FLAG), default="linear")
     p_compute.add_argument("--normalize", action="store_true", help="cosine-normalize the matrix")
-    p_compute.add_argument("--format", choices=("csv", "libsvm"), default="csv")
+    p_compute.add_argument("--format", choices=FORMATS, default="csv")
     p_compute.add_argument("--out", required=True, help="output file for the Gram matrix")
     p_compute.add_argument("--threads", type=int, default=1,
                            help="accepted and ignored; the output never depends on it")
@@ -94,6 +89,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each manifest field -> (the `compute` argument it records, how `replay`
+# reads the argument back, if not as recorded). `k` is recorded as text and
+# the variant in the library's spelling; a reader raises KeyError, TypeError
+# or ArgumentTypeError on a value that `compute` does not accept.
+_MANIFEST_FIELDS = {
+    "dataset_path": ("dataset", None),
+    "dataset_name": ("name", None),
+    "weights": ("weights", dict(zip(WEIGHT_KINDS, WEIGHT_KINDS)).__getitem__),
+    "walk_length": ("walk_length", None),
+    "k": ("k", _parse_k),
+    "h": ("h", None),
+    "gamma": ("gamma", None),
+    "beta": ("beta", None),
+    "variant": ("variant", {lib: flag for flag, lib in _VARIANT_FLAG.items()}.__getitem__),
+    "normalize": ("normalize", None),
+    "output_format": ("format", dict(zip(FORMATS, FORMATS)).__getitem__),
+    "output_path": ("out", None),
+    "threads": ("threads", None),
+}
+
+
 def run_compute(args: argparse.Namespace) -> RunManifest:
     """Execute the full pipeline for parsed compute arguments."""
     started = time.perf_counter()
@@ -108,24 +124,13 @@ def run_compute(args: argparse.Namespace) -> RunManifest:
     )
     matrix = gram_matrix(dataset, spec, args.k, config)
     filtration = matrix.filtration
-    ensure_parent_dir(args.out)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_gram(matrix, args.format, args.out)
     elapsed = time.perf_counter() - started
 
+    recorded = {field: getattr(args, arg) for field, (arg, _) in _MANIFEST_FIELDS.items()}
     manifest = RunManifest(
-        dataset_path=args.dataset,
-        dataset_name=args.name,
-        weights=args.weights,
-        walk_length=args.walk_length,
-        k=str(args.k),
-        h=args.h,
-        gamma=args.gamma,
-        beta=args.beta,
-        variant=_VARIANT_FLAG[args.variant],
-        normalize=args.normalize,
-        output_format=args.format,
-        output_path=args.out,
-        threads=args.threads,
+        **(recorded | {"k": str(args.k), "variant": config.variant}),
         thresholds=filtration.thresholds,
         wall_time_seconds=elapsed,
     )
@@ -138,23 +143,19 @@ def run_compute(args: argparse.Namespace) -> RunManifest:
 
 
 def replay(manifest_file: str) -> RunManifest:
-    """Re-run a manifest; writes the Gram file to the recorded output path."""
+    """Re-run a manifest; writes the Gram file to the recorded output path.
+
+    Raises ValueError, naming the field, on a recorded value that `compute`
+    does not accept.
+    """
     m = load_manifest(manifest_file)
-    args = argparse.Namespace(
-        dataset=m.dataset_path,
-        name=m.dataset_name,
-        weights=m.weights,
-        walk_length=m.walk_length,
-        k=_parse_k(m.k),
-        h=m.h,
-        gamma=m.gamma,
-        beta=m.beta,
-        variant={v: f for f, v in _VARIANT_FLAG.items()}[m.variant],
-        normalize=m.normalize,
-        format=m.output_format,
-        out=m.output_path,
-        threads=m.threads,
-    )
+    args = argparse.Namespace()
+    for field, (arg, read) in _MANIFEST_FIELDS.items():
+        value = getattr(m, field)
+        try:
+            setattr(args, arg, value if read is None else read(value))
+        except (KeyError, TypeError, argparse.ArgumentTypeError):
+            raise ValueError(f"manifest field {field!r} has invalid value {value!r}") from None
     return run_compute(args)
 
 
@@ -174,6 +175,7 @@ def run_inspect(args: argparse.Namespace) -> None:
     spec = WeightFunctionSpec(kind=args.weights, walk_length=args.walk_length)
     weighted = reweight(dataset, spec)
     filtration = build_filtration(weighted, WeightFunctionSpec(), args.k)
+    store = extract_all(weighted, filtration, args.h)  # fails before anything is printed
     print(f"graphs: {len(dataset)}")
     print(f"thresholds (k={len(filtration)}): " + " ".join(str(t) for t in filtration.thresholds))
 
@@ -183,7 +185,6 @@ def run_inspect(args: argparse.Namespace) -> None:
     for level, (alpha, edges) in enumerate(zip(filtration.thresholds, on_level), start=1):
         print(f"level {level}: alpha={alpha} edges={edges}")
 
-    store = extract_all(weighted, filtration, args.h)
     sizes = np.bincount(store.graph, minlength=store.num_graphs)
     print(f"features: {len(store.depth)} distinct labels")
     print(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -145,7 +144,3 @@ def load_manifest(path: str) -> RunManifest:
     raw["thresholds"] = tuple(raw["thresholds"])
     return RunManifest(**raw)
 
-
-def ensure_parent_dir(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)

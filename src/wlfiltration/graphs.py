@@ -48,7 +48,8 @@ class LabeledGraph:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range or not canonical")
             if prev is not None and (u, v) <= prev:
-                raise ValueError(f"edges not strictly sorted at ({u}, {v})")
+                raise ValueError(f"parallel edge ({u}, {v})" if (u, v) == prev
+                                 else f"edges not strictly sorted at ({u}, {v})")
             prev = (u, v)
         for w in self.weights:
             if not 0 <= w < math.inf:
@@ -64,23 +65,19 @@ class LabeledGraph:
     ) -> "LabeledGraph":
         """Construct from an arbitrary-order edge list, canonicalizing endpoints.
 
-        Rejects self-loops and parallel edges. Missing labels default to 0,
-        missing weights to 0.
+        Missing labels default to 0, missing weights to 0. The constructor
+        checks the canonical edges: it rejects self-loops and parallel edges.
         """
-        canon = {}
-        for idx, (u, v) in enumerate(edges):
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in canon:
-                raise ValueError(f"parallel edge ({u}, {v})")
-            canon[key] = weights[idx] if weights is not None else 0
-        order = sorted(canon)
+        m = len(edges)
+        if weights is not None and len(weights) != m:
+            raise ValueError(f"expected {m} edge weights, got {len(weights)}")
+        canon = [(u, v) if u < v else (v, u) for u, v in edges]
+        order = sorted(range(m), key=canon.__getitem__)
         return cls(
             n=n,
-            edges=tuple(order),
+            edges=tuple(canon[i] for i in order),
             labels=tuple(labels) if labels is not None else (0,) * n,
-            weights=tuple(canon[e] for e in order),
+            weights=tuple(weights[i] for i in order) if weights is not None else (0,) * m,
         )
 
     @cached_property

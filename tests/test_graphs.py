@@ -37,8 +37,19 @@ def test_build_canonicalizes_edges():
 def test_build_rejects_self_loop_and_parallel():
     with pytest.raises(ValueError, match="self-loop"):
         LabeledGraph.build(3, [(1, 1)])
-    with pytest.raises(ValueError, match="parallel"):
-        LabeledGraph.build(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match=r"parallel edge \(0, 1\)"):
+        LabeledGraph.build(3, [(1, 2), (1, 0), (0, 1)], weights=[1.0, 2.0, 2.0])
+    # the constructor tells a repeated edge from one out of order
+    with pytest.raises(ValueError, match=r"parallel edge \(0, 2\)"):
+        LabeledGraph(3, ((0, 2), (0, 2)), (0, 0, 0), (0, 0))
+    with pytest.raises(ValueError, match=r"edges not strictly sorted at \(0, 1\)"):
+        LabeledGraph(3, ((0, 2), (0, 1)), (0, 0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("weights", [[1.0, 2.0, 3.0], [1.0]])
+def test_build_rejects_a_weight_list_of_the_wrong_length(weights):
+    with pytest.raises(ValueError, match=f"expected 2 edge weights, got {len(weights)}"):
+        LabeledGraph.build(3, [(1, 2), (0, 1)], weights=weights)
 
 
 def test_build_validates_shapes():

@@ -1,5 +1,7 @@
 """Gram serialization, run manifests, and the command-line pipeline."""
 
+import dataclasses
+import json
 import math
 import os
 
@@ -215,6 +217,18 @@ def test_cli_inspect_csl_output_is_unchanged(tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_cli_inspect_failure_prints_nothing(tmp_path, capsys):
+    data_dir = tmp_path / "csl"
+    assert _run_cli("csl", "--out", str(data_dir), "--name", "CSL", "--copies", "1",
+                    "--seed", "0") == 0
+    capsys.readouterr()
+    assert _run_cli("inspect", "--dataset", str(data_dir), "--name", "CSL",
+                    "--weights", "walks", "--lambda", "7", "--k", "4", "--h", "-2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "h must be >= 0" in captured.err
+
+
 @pytest.mark.parametrize("k", ["1", "auto"])
 def test_cli_edgeless_dataset_gives_histogram_kernel(tmp_path, capsys, k):
     labels = [(0,), (0, 0, 1), (1, 1)]
@@ -279,16 +293,51 @@ def test_cli_csl_deterministic_files(tmp_path):
         assert (dir_a / fname).read_bytes() == (dir_b / fname).read_bytes()
 
 
+# both variants with --normalize, both formats, walks with a --lambda, k as
+# auto and as an integer, and --threads 2
+_REPLAYED_FLAGS = [
+    ["--weights", "degree", "--k", "3", "--h", "2", "--gamma", "1.0", "--format", "csv"],
+    ["--variant", "product", "--beta", "0.5", "--normalize", "--format", "libsvm"],
+    ["--weights", "walks", "--lambda", "3", "--k", "auto", "--variant", "linear",
+     "--normalize", "--threads", "2"],
+    ["--weights", "triangles", "--k", "2", "--h", "1", "--gamma", "0.25", "--format", "libsvm"],
+]
+
+
 def test_manifest_replay_reproduces_gram_bytes(tmp_path, mini_tud_dir, capsys):
+    for run, flags in enumerate(_REPLAYED_FLAGS):
+        out = tmp_path / f"mini{run}.gram"
+        assert _run_cli("compute", "--dataset", mini_tud_dir, "--name", "MINI20", *flags,
+                        "--out", str(out)) == 0
+        first = out.read_bytes()
+        recorded = load_manifest(manifest_path_for(str(out)))
+        out.unlink()
+        replayed = replay(manifest_path_for(str(out)))
+        assert out.read_bytes() == first
+        # every recorded field round-trips; only the wall time differs
+        assert dataclasses.replace(replayed, wall_time_seconds=0.0) == dataclasses.replace(
+            recorded, wall_time_seconds=0.0)
+        assert load_manifest(manifest_path_for(str(out))) == replayed
+
+
+@pytest.mark.parametrize("field, value", [
+    ("variant", "bogus"), ("variant", "linear"), ("weights", "bogus"),
+    ("output_format", "npy"), ("k", "0"), ("k", "three"), ("k", None),
+])
+def test_replay_rejects_a_value_compute_does_not_record(tmp_path, mini_tud_dir, field, value):
     out = tmp_path / "mini.csv"
-    assert _run_cli(
-        "compute", "--dataset", mini_tud_dir, "--name", "MINI20",
-        "--weights", "degree", "--k", "3", "--h", "2", "--gamma", "1.0",
-        "--out", str(out), "--format", "csv",
-    ) == 0
-    first = out.read_bytes()
-    replay(manifest_path_for(str(out)))
-    assert out.read_bytes() == first
+    assert _run_cli("compute", "--dataset", mini_tud_dir, "--name", "MINI20",
+                    "--out", str(out)) == 0
+    path = manifest_path_for(str(out))
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw[field] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    out.unlink()
+    with pytest.raises(ValueError, match=f"manifest field '{field}' has invalid value {value!r}"):
+        replay(path)
+    assert not out.exists()
 
 
 def test_manifest_keeps_integer_thresholds_exact(tmp_path):
