@@ -91,9 +91,8 @@ def _walk_totals(n: int, ends: np.ndarray, walk_length: int) -> np.ndarray:
     a chunk of source vertices at a time: O(walk_length * n * m) work and no
     n x n matrix. Counts are int64 when that cannot overflow and exact Python
     ints otherwise (see `_count_dtype`), returned as uint64 from 2**63 on.
+    `walk_length` is >= 1: a checked `WeightFunctionSpec.walk_length`, or 2.
     """
-    if walk_length < 1:
-        raise ValueError("walk_length must be >= 1")
     if not len(ends):
         return np.zeros(0, dtype=np.int64)
     u, v = ends[:, 0], ends[:, 1]

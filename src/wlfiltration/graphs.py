@@ -235,13 +235,9 @@ def load_tud_dataset(directory: str, name: str) -> GraphDataset:
     rank[by_graph] = np.arange(num_vertices)
 
     # Merge the directed pairs: the first-seen direction supplies the weight.
-    # The sort is stable, so the copies of an edge stay in line order.
+    # `np.unique` sorts stably, so each key's index is its first line.
     lo, hi = np.minimum(rank[u], rank[v]), np.maximum(rank[u], rank[v])
-    keys = _pair_keys(lo, hi, num_vertices)
-    order = np.argsort(keys, kind="stable")
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = keys[order[1:]] != keys[order[:-1]]
-    first = order[new]
+    first = np.unique(_pair_keys(lo, hi, num_vertices), return_index=True)[1]
     gid = graph_of[u[first]]
     ends = np.stack((lo[first], hi[first]), axis=1) - starts[gid][:, None]
     return GraphDataset._of_arrays(

@@ -220,10 +220,7 @@ def gram_matrix_for_filtration(
     values = assemble_gram(store, GroundLine(filtration.thresholds), config)
 
     if config.normalize:
-        diag = np.diag(values).copy()
-        if np.any(diag <= 0):
-            raise ValueError("cannot cosine-normalize: zero self-kernel value")
-        scale = 1.0 / np.sqrt(diag)
+        scale = 1.0 / np.sqrt(np.diag(values))
         values = values * np.outer(scale, scale)
         np.fill_diagonal(values, 1.0)
 

@@ -78,20 +78,22 @@ def extract_all(
     n, m, ends = graphs.sizes, graphs.edge_counts, graphs.ends
     alphabet, labels0 = np.unique(graphs.labels, return_inverse=True)
     first = filtration.first_levels(graphs.weights)  # k: on no level
+    live = first < k  # the edges on some level
+    edge_graph = np.repeat(np.arange(len(n)), m)[live]
     # refined[g, i]: level i of graph g differs from level i - 1 (level 0
     # always counts)
     refined = np.zeros((len(n), k), dtype=bool)
     refined[:, 0] = True
-    on_levels = first < k
-    refined[np.repeat(np.arange(len(n)), m)[on_levels], first[on_levels]] = True
+    refined[edge_graph, first[live]] = True
 
-    labels, depth = _refine(n, m, labels0, ends, first, refined, h, len(alphabet))
+    labels, depth, copy = _refine(n, m, labels0, ends, first, refined, edge_graph, live, h,
+                                  len(alphabet))
     # A vertex of copy (g, i) labelled f falls in cell (f * graphs + g) * k + i.
     # Round by round, so that one round's sort is alive at a time; the
     # rounds' ids are disjoint, and so are their cells.
     num_graphs = max(len(n), 1)
-    copy_graph, copy_level = np.nonzero(refined)
-    place = np.repeat(copy_graph * k + copy_level, n[copy_graph])
+    place = np.flatnonzero(refined)[copy]
+    del first, live, edge_graph, copy
     cells, tallies = [], []
     for round_labels in labels:
         cell, tally = np.unique(round_labels * (num_graphs * k) + place, return_counts=True)
@@ -125,28 +127,28 @@ def _refine(
     ends: np.ndarray,
     first: np.ndarray,
     refined: np.ndarray,
+    edge_graph: np.ndarray,
+    live: np.ndarray,
     h: int,
     alphabet: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """WL labels of the refined level copies of all graphs; (labels, depth).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """WL labels of the refined level copies of all graphs; (labels, depth, copy).
 
-    `n`/`m` are the graphs' vertex and edge counts, `labels0` their initial
-    ids (below `alphabet`), `ends` their edges (graph-local endpoints) and
-    `first` each edge's first level (k: on no level). `refined` is a
-    (graphs, k) mask of the level copies to refine, level 0 of every graph
-    among them. The copies are numbered in (graph, level) order and form one
-    disjoint union; each holds its graph's vertices and the edges of its
-    level. `labels[r]` holds the round-r id of every vertex of the union and
-    `depth[f]` the round of id f.
+    `n` holds the graphs' vertex counts, `labels0` their initial ids (below
+    `alphabet`), `ends` their edges (graph-local endpoints) and `first` each
+    edge's first level (k: on no level). `refined` is a (graphs, k) mask of
+    the level copies to refine, level 0 of every graph among them. `live`
+    marks the edges on some level and `edge_graph` gives their graphs, so
+    the edge counts `m` are not read. The copies are numbered in (graph,
+    level) order and form one disjoint union; each holds its graph's
+    vertices and the edges of its level. This is the only place that lays
+    the union out: `labels[r]` holds the round-r id of every vertex of the
+    union, `depth[f]` the round of id f and `copy[x]` the copy of vertex x.
 
-    One round sorts the arcs by (source, neighbour label) and builds each
-    vertex's signature one neighbour column at a time as the 1-D `np.unique`
-    inverse of sig * width + label; each column's classes get fresh numbers,
-    so vertices of different degree never share one. The classes are then
-    exactly the distinct keys (label, sorted neighbour labels) of the round,
-    across the whole union. Every class of every round is given the rank of
-    its first vertex in (graph, level, round, vertex) order, after the
-    initial alphabet: the id a vertex-by-vertex pass would intern it as.
+    `_classes` runs the rounds on the union's arcs. Every class of every
+    round is then given the rank of its first vertex in (graph, level, round,
+    vertex) order, after the initial alphabet: the id a vertex-by-vertex pass
+    would intern it as.
     """
     copy_graph = np.nonzero(refined)[0]
     size = n[copy_graph]
@@ -157,8 +159,24 @@ def _refine(
     labels = np.empty((h + 1, total), dtype=np.int64)
     labels[0] = labels0[(np.cumsum(n) - n)[copy_graph[copy_of]] + local]
     if not h or not total:
-        return labels, np.zeros(alphabet, dtype=np.int64)
-    classes = _classes(n, m, ends, first, refined, copy_start, total, labels)
+        return labels, np.zeros(alphabet, dtype=np.int64), copy_of
+    # an edge is in the copy of its first level (refined by definition)
+    # and in every later copy of its graph
+    copy_id = np.cumsum(refined.ravel()).reshape(refined.shape) - 1
+    start_copy = copy_id[edge_graph, first[live]]
+    present = copy_id[edge_graph, -1] - start_copy + 1
+    edge = np.repeat(np.flatnonzero(live), present)
+    # copies start_copy, start_copy + 1, ... of each edge
+    copy = np.repeat(start_copy - np.cumsum(present) + present, present) + np.arange(len(edge))
+    del copy_id, start_copy, present
+    offset = copy_start[copy]
+    u = offset + ends[edge, 0]
+    v = offset + ends[edge, 1]
+    del edge, copy, offset
+    arc = np.concatenate((u * total + v, v * total + u))
+    del u, v
+    classes = _classes(arc, labels)
+    del arc
 
     # Position of a vertex's round-r label in (graph, level, round, vertex)
     # order: the copies' blocks of h * size labels follow each other.
@@ -176,50 +194,31 @@ def _refine(
         offset += count
     depth = np.zeros(alphabet + len(rank), dtype=np.int64)
     depth[final] = np.repeat(np.arange(1, h + 1), num_classes)
-    return labels, depth
+    return labels, depth, copy_of
 
 
-def _classes(
-    n: np.ndarray,
-    m: np.ndarray,
-    ends: np.ndarray,
-    first: np.ndarray,
-    refined: np.ndarray,
-    copy_start: np.ndarray,
-    total: int,
-    labels: np.ndarray,
-) -> list[np.ndarray]:
+def _classes(arc: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
     """Fill labels[1:] with each round's classes; per round, each class's first vertex.
 
-    The arguments are those of `_refine`, plus each copy's first vertex in
-    the union and the union's size; `labels[0]` holds the initial ids. Round
-    r numbers its classes 0, 1, ... in `labels[r]` (in signature order) and
-    returns the union index of each class's first vertex. The signatures are
-    ints below the previous width plus the number of arcs, so the classes get
-    dense ids from a present-mask and its cumsum, and their first vertices
-    from one `np.minimum.at`, with no sort. The arrays of the union's arcs
-    live only here.
+    Plain WL on one graph: `labels[0]` holds the initial ids of its vertices
+    and `arc` the key source * vertices + target of each arc, both directions
+    of every edge. `arc` is sorted and then overwritten in place, so the
+    caller need hold no other arc-length array while the rounds run. Round r
+    numbers its classes 0, 1, ... in `labels[r]` (in signature order) and
+    returns the index of each class's first vertex.
+
+    One round sorts the arcs by (source, neighbour label) and builds each
+    vertex's signature one neighbour column at a time as the 1-D `np.unique`
+    inverse of sig * width + label; each column's classes get fresh numbers,
+    so vertices of different degree never share one. The classes are then
+    exactly the distinct keys (label, sorted neighbour labels) of the round.
+    The signatures are ints below the previous width plus the number of arcs,
+    so the classes get dense ids from a present-mask and its cumsum, and their
+    first vertices from one `np.minimum.at`, with no sort.
     """
-    k = refined.shape[1]
-    # an edge is in the copy of its first level (refined by definition)
-    # and in every later copy of its graph
-    live = first < k
-    edge_graph = np.repeat(np.arange(len(n)), m)[live]
-    copy_id = np.cumsum(refined.ravel()).reshape(refined.shape) - 1
-    start_copy = copy_id[edge_graph, first[live]]
-    present = copy_id[edge_graph, -1] - start_copy + 1
-    edge = np.repeat(np.flatnonzero(live), present)
-    # copies start_copy, start_copy + 1, ... of each edge
-    copy = np.repeat(start_copy - np.cumsum(present) + present, present) + np.arange(len(edge))
-    del edge_graph, copy_id, start_copy, present
-    offset = copy_start[copy]
-    u = offset + ends[edge, 0]
-    v = offset + ends[edge, 1]
-    del edge, copy, offset
-    # the arcs, sorted by (source, target); only the targets and the
-    # degrees are kept, so that few arrays of arc length are alive at once
-    arc = np.concatenate((u * total + v, v * total + u))
-    del u, v
+    total = labels.shape[1]
+    # sorted by (source, target); only the targets and the degrees are
+    # kept, so that few arrays of arc length are alive at once
     arc.sort()
     degree = np.bincount(arc // total, minlength=total)
     dst = np.remainder(arc, total, out=arc)
@@ -257,9 +256,8 @@ def _classes(
         # ascending sig order as `np.unique` would
         present = np.zeros(next_sig, dtype=bool)
         present[sig] = True
-        ids = np.cumsum(present) - 1
-        labels[r] = ids[sig]
-        first_vertex = np.full(int(ids[-1]) + 1, total, dtype=np.int64)
+        labels[r] = (np.cumsum(present) - 1)[sig]
+        first_vertex = np.full(np.count_nonzero(present), total, dtype=np.int64)
         np.minimum.at(first_vertex, labels[r], np.arange(total))
         firsts.append(first_vertex)
     return firsts

@@ -500,6 +500,11 @@ def test_threshold_sequences_are_strictly_decreasing():
         Filtration((1.0, 1.0))
 
 
+def test_filtration_needs_a_threshold():
+    with pytest.raises(ValueError, match="a filtration needs at least one threshold"):
+        Filtration(())
+
+
 def test_filtration_graph_boundaries():
     g = path3(2.0, 1.0)
     assert filtration_graph(g, 0.5).edges == g.edges

@@ -63,6 +63,16 @@ def test_build_validates_shapes():
         LabeledGraph(2, ((0, 2),), (0, 0), (0.0,))  # endpoint out of range
 
 
+def test_constructor_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        LabeledGraph(-1, (), (), ())
+
+
+def test_dataset_rejects_a_class_label_too_many():
+    with pytest.raises(ValueError, match="class_labels length must equal number of graphs"):
+        GraphDataset((path3(),), (0, 1))
+
+
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
 def test_build_rejects_non_finite_weight(weight):
     with pytest.raises(ValueError, match="not finite"):

@@ -45,6 +45,13 @@ def test_write_csv_single_normalized_value(tmp_path):
     assert float(content) == 1.0
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_write_gram_of_no_graphs_writes_one_newline(tmp_path, fmt):
+    path = tmp_path / f"empty.{fmt}"
+    write_gram(GramMatrix(np.zeros((0, 0)), (), (1.0,)), fmt, str(path))
+    assert path.read_bytes() == b"\n"
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     matrix = small_gram()
     path = tmp_path / "gram.csv"
@@ -291,6 +298,12 @@ def test_cli_csl_deterministic_files(tmp_path):
                         "--seed", "11", "--n", "13", "--s", "3") == 0
     for fname in sorted(os.listdir(dir_a)):
         assert (dir_a / fname).read_bytes() == (dir_b / fname).read_bytes()
+
+
+def test_cli_csl_needs_n_and_s_together(tmp_path, capsys):
+    assert _run_cli("csl", "--out", str(tmp_path / "c"), "--name", "C", "--n", "41") == 1
+    assert "--n and --s must be given together" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 # both variants with --normalize, both formats, walks with a --lambda, k as
