@@ -28,7 +28,7 @@ from .kernels import GramMatrix, KernelConfig, build_filtration, gram_matrix
 from .transport import GroundLine, wasserstein_cdf_points
 from .wl import FeatureCounts, extract_all
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
     "DatasetFormatError",

@@ -21,7 +21,8 @@ class FeatureCounts:
     graph), so the graphs sharing a feature form one contiguous block: the
     sparse graph x feature matrix of a WL kernel, with a histogram per entry.
     `depth[f]` is the WL round that made feature f (0 for an initial label);
-    there is one entry per feature id, so its length is the feature count.
+    there is one entry per feature id, so its length is the feature count,
+    and it ascends with f.
     """
 
     graph: np.ndarray
@@ -54,21 +55,23 @@ def extract_all(
 
     Level i of a feature's histogram is the number of vertices carrying that
     label on the i-th filtration graph; labels never observed have no row.
-    The feature ids are those of interning every label in dataset order,
-    graph by graph, level by level, round by round and vertex by vertex: the
-    sorted initial alphabet first, then each refined label, the key (old
-    label, sorted neighbour labels), at its first occurrence in that order.
+    The feature ids depend only on which labels occur in the dataset, not on
+    where: the sorted initial alphabet first, then round by round the
+    distinct keys (old label, sorted neighbour labels) of that round across
+    all graphs and levels, in (degree, old label, neighbour labels) order.
+    So every id of round r is above every id of round r - 1, and reordering
+    the graphs leaves every id as it is.
 
     The filtration graphs are nested, so a level that adds no edge to a graph
     has the labels of the level before it. Only level 0 and the levels where
     some edge of the graph first appears are refined; the counts of the
     others are copied from the last refined level below them. A repeated
-    level holds no label that is new in that order, so skipping it leaves
-    the ids as they are. The refined copies of all graphs are refined
-    together as one disjoint union with array passes (see `_refine`), so no
-    Python work is done per label. `graphs` is a dataset or a sequence of
-    graphs; `interner` and `threads` are accepted for callers written for
-    version 0.7.0 and ignored; the result never depended on them.
+    level has the keys of the level below it, so skipping it changes no id.
+    The refined copies of all graphs are refined together as one disjoint
+    union with array passes (see `_refine`), so no Python work is done per
+    label. `graphs` is a dataset or a sequence of graphs; `interner` and
+    `threads` are accepted for callers written for version 0.7.0 and
+    ignored; the result never depended on them.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
@@ -86,7 +89,7 @@ def extract_all(
     refined[:, 0] = True
     refined[edge_graph, first[live]] = True
 
-    labels, depth, copy = _refine(n, m, labels0, ends, first, refined, edge_graph, live, h,
+    labels, depth, copy = _refine(n, labels0, ends, first, refined, edge_graph, live, h,
                                   len(alphabet))
     # A vertex of copy (g, i) labelled f falls in cell (f * graphs + g) * k + i.
     # Round by round, so that one round's sort is alive at a time; the
@@ -122,7 +125,6 @@ def extract_all(
 
 def _refine(
     n: np.ndarray,
-    m: np.ndarray,
     labels0: np.ndarray,
     ends: np.ndarray,
     first: np.ndarray,
@@ -138,17 +140,16 @@ def _refine(
     `alphabet`), `ends` their edges (graph-local endpoints) and `first` each
     edge's first level (k: on no level). `refined` is a (graphs, k) mask of
     the level copies to refine, level 0 of every graph among them. `live`
-    marks the edges on some level and `edge_graph` gives their graphs, so
-    the edge counts `m` are not read. The copies are numbered in (graph,
-    level) order and form one disjoint union; each holds its graph's
-    vertices and the edges of its level. This is the only place that lays
-    the union out: `labels[r]` holds the round-r id of every vertex of the
-    union, `depth[f]` the round of id f and `copy[x]` the copy of vertex x.
+    marks the edges on some level and `edge_graph` gives their graphs. The
+    copies are numbered in (graph, level) order and form one disjoint union;
+    each holds its graph's vertices and the edges of its level. This is the
+    only place that lays the union out: `labels[r]` holds the round-r id of
+    every vertex of the union, `depth[f]` the round of id f and `copy[x]` the
+    copy of vertex x.
 
-    `_classes` runs the rounds on the union's arcs. Every class of every
-    round is then given the rank of its first vertex in (graph, level, round,
-    vertex) order, after the initial alphabet: the id a vertex-by-vertex pass
-    would intern it as.
+    `_classes` runs the rounds on the union's arcs and numbers each round's
+    classes densely in key order; round r's ids follow the initial alphabet
+    and the classes of rounds 1 .. r - 1.
     """
     copy_graph = np.nonzero(refined)[0]
     size = n[copy_graph]
@@ -175,46 +176,33 @@ def _refine(
     del edge, copy, offset
     arc = np.concatenate((u * total + v, v * total + u))
     del u, v
-    classes = _classes(arc, labels)
+    num_classes = _classes(arc, labels)
     del arc
-
-    # Position of a vertex's round-r label in (graph, level, round, vertex)
-    # order: the copies' blocks of h * size labels follow each other.
-    position = []
-    for r, first_vertex in enumerate(classes, start=1):
-        c = copy_of[first_vertex]
-        position.append(copy_start[c] * h + (r - 1) * size[c] + local[first_vertex])
-    num_classes = [len(f) for f in classes]
-    rank = np.empty(sum(num_classes), dtype=np.int64)
-    rank[np.argsort(np.concatenate(position))] = np.arange(len(rank))
-    final = alphabet + rank
-    offset = 0
-    for r, count in enumerate(num_classes, start=1):
-        labels[r] = final[offset + labels[r]]
-        offset += count
-    depth = np.zeros(alphabet + len(rank), dtype=np.int64)
-    depth[final] = np.repeat(np.arange(1, h + 1), num_classes)
-    return labels, depth, copy_of
+    labels[1:] += np.cumsum([alphabet, *num_classes[:-1]])[:, None]
+    return labels, np.repeat(np.arange(h + 1), [alphabet, *num_classes]), copy_of
 
 
-def _classes(arc: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
-    """Fill labels[1:] with each round's classes; per round, each class's first vertex.
+def _classes(arc: np.ndarray, labels: np.ndarray) -> list[int]:
+    """Fill labels[1:] with each round's classes; return each round's class count.
 
     Plain WL on one graph: `labels[0]` holds the initial ids of its vertices
     and `arc` the key source * vertices + target of each arc, both directions
     of every edge. `arc` is sorted and then overwritten in place, so the
     caller need hold no other arc-length array while the rounds run. Round r
-    numbers its classes 0, 1, ... in `labels[r]` (in signature order) and
-    returns the index of each class's first vertex.
+    numbers its classes 0, 1, ... in `labels[r]`, in the order of their keys
+    (degree, previous label, sorted neighbour labels), which depends only on
+    which keys occur, not on where.
 
     One round sorts the arcs by (source, neighbour label) and builds each
     vertex's signature one neighbour column at a time as the 1-D `np.unique`
     inverse of sig * width + label; each column's classes get fresh numbers,
     so vertices of different degree never share one. The classes are then
     exactly the distinct keys (label, sorted neighbour labels) of the round.
-    The signatures are ints below the previous width plus the number of arcs,
-    so the classes get dense ids from a present-mask and its cumsum, and their
-    first vertices from one `np.minimum.at`, with no sort.
+    Each column ranks its keys in sorted order, and a vertex that ends at
+    column j sorts below every vertex that reaches column j + 1, so the final
+    signatures ascend in key order. They are ints below the previous width
+    plus the number of arcs, so the classes get dense ids from a
+    present-mask and its cumsum, with no sort.
     """
     total = labels.shape[1]
     # sorted by (source, target); only the targets and the degrees are
@@ -229,7 +217,7 @@ def _classes(arc: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
     column_end = np.cumsum(np.bincount(rank)).tolist()
     del rank
 
-    firsts = []
+    num_classes = []
     for r in range(1, len(labels)):
         cur = labels[r - 1]
         width = int(cur.max()) + 1
@@ -257,7 +245,5 @@ def _classes(arc: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
         present = np.zeros(next_sig, dtype=bool)
         present[sig] = True
         labels[r] = (np.cumsum(present) - 1)[sig]
-        first_vertex = np.full(np.count_nonzero(present), total, dtype=np.int64)
-        np.minimum.at(first_vertex, labels[r], np.arange(total))
-        firsts.append(first_vertex)
-    return firsts
+        num_classes.append(np.count_nonzero(present))
+    return num_classes

@@ -443,3 +443,39 @@ def test_assemble_rejects_counts_off_the_ground_line():
     store = extract_all([LabeledGraph.build(2, [(0, 1)], weights=[1.0])], Filtration((1.0, 0.0)), 1)
     with pytest.raises(ValueError, match="over 2 levels .* ground line of length 3"):
         kernels.assemble_gram(store, GroundLine((2.0, 1.0, 0.0)), KernelConfig())
+
+
+@pytest.mark.parametrize("variant", ["linear_combination", "product"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_reordering_the_graphs_permutes_the_gram_bytes(variant, seed, data):
+    # each entry sums its feature terms in id order, so the ids must not
+    # depend on where a graph sits in the dataset
+    ds = random_dataset(seed, 60, max_n=12)
+    spec = WeightFunctionSpec("degree")
+    filt = build_filtration(reweight(ds, spec), WeightFunctionSpec(), 6)
+    p = data.draw(st.permutations(range(len(ds))))
+    reordered = GraphDataset(tuple(ds.graphs[i] for i in p), tuple(ds.class_labels[i] for i in p))
+    cfg = KernelConfig(h=3, gamma=1.0, beta=0.05, variant=variant)
+    a = gram_matrix(ds, spec, filt, cfg).values
+    b = gram_matrix(reordered, spec, filt, cfg).values
+    assert a[np.ix_(p, p)].tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["linear_combination", "product"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_graphs_before_the_training_set_leave_its_block_as_it_is(variant, seed):
+    # 15 graphs ahead of 40 training graphs, each with a vertex label the
+    # training graphs lack: under the training filtration, the union's
+    # training block is the training Gram, byte for byte
+    train = random_dataset(seed, 40, max_n=12)
+    rng = random.Random(seed)
+    extras = [random_graph(rng, max_n=12) for _ in range(15)]
+    extras = [LabeledGraph.build(g.n, g.edges, (3,) + g.labels[1:], g.weights) for g in extras]
+    union = GraphDataset(tuple(extras) + train.graphs, (0,) * 15 + train.class_labels)
+    spec = WeightFunctionSpec("degree")
+    filt = build_filtration(reweight(train, spec), WeightFunctionSpec(), 6)
+    cfg = KernelConfig(h=3, gamma=1.0, beta=0.05, variant=variant)
+    alone = gram_matrix(train, spec, filt, cfg).values
+    assert gram_matrix(union, spec, filt, cfg).values[15:, 15:].tobytes() == alone.tobytes()

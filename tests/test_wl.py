@@ -173,8 +173,8 @@ def test_dump_feature_table_golden():
     (table,) = tables_from(store)
     assert dump_feature_table(table, store.depth) == (
         "0 0 3 3\n"
-        "1 1 2 2\n"
-        "2 1 1 0\n"
+        "1 1 1 0\n"
+        "2 1 2 2\n"
         "3 1 0 1\n"
     )
 
@@ -215,7 +215,8 @@ _TOP_LEVEL = LabeledGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 2)], [1, 0, 0, 1
 
 
 def assert_store_invariants(store, num_graphs, k):
-    """Rows strictly sorted by (feature, graph), int64 columns, every mass >= 1."""
+    """Rows strictly sorted by (feature, graph), int64 columns, every mass >= 1,
+    and feature ids ascending with depth."""
     rows = len(store.graph)
     assert store.num_graphs == num_graphs
     assert store.counts.shape == (rows, k) and store.num_levels == k
@@ -226,6 +227,7 @@ def assert_store_invariants(store, num_graphs, k):
     key = list(zip(store.feature.tolist(), store.graph.tolist()))
     assert all(x < y for x, y in zip(key, key[1:]))
     assert np.all(store.counts >= 0) and np.all(store.counts.sum(axis=1) >= 1)
+    assert np.all(np.diff(store.depth) >= 0)
 
 
 def test_feature_counts_invariants():
@@ -269,11 +271,11 @@ def test_extract_all_matches_reference(spread, data, h):
     graphs = [LabeledGraph.build(g.n, g.edges, [raw * spread for raw in g.labels], g.weights)
               for g in graphs]
     store = extract_all(graphs, filt, h)
-    reference = LabelInterner()
-    assert tables_from(store) == extract_all_reference(graphs, filt, h, reference)
+    tables, depth = extract_all_reference(graphs, filt, h)
+    assert tables_from(store) == tables
     assert_store_invariants(store, len(graphs), len(filt))
     assert store.depth.dtype == np.int64
-    assert store.depth.tolist() == [reference.depth_of[f] for f in range(len(reference))]
+    assert store.depth.tolist() == depth
 
 
 def test_extract_all_refines_only_levels_that_add_an_edge(monkeypatch):
@@ -288,14 +290,14 @@ def test_extract_all_refines_only_levels_that_add_an_edge(monkeypatch):
     refined = []
     refine = wl._refine
 
-    def counting(n, m, labels0, ends, first, mask, *rest):
+    def counting(n, labels0, ends, first, mask, *rest):
         refined.append(int(mask.sum()))
-        return refine(n, m, labels0, ends, first, mask, *rest)
+        return refine(n, labels0, ends, first, mask, *rest)
 
     monkeypatch.setattr(wl, "_refine", counting)
     store = extract_all(dataset.graphs, filt, 2)
     assert sum(refined) == want < len(dataset) * k
-    assert tables_from(store) == extract_all_reference(dataset.graphs, filt, 2, LabelInterner())
+    assert tables_from(store) == extract_all_reference(dataset.graphs, filt, 2)[0]
 
 
 def test_extract_all_numbers_labels_across_the_whole_dataset():
@@ -312,7 +314,7 @@ def test_extract_all_numbers_labels_across_the_whole_dataset():
     assert np.array_equal(store.counts[first], store.counts[last])
     holders = np.bincount(store.feature, minlength=len(store.depth))
     assert np.any(holders[store.feature[first]] == 2)
-    assert tables_from(store) == extract_all_reference(dataset.graphs, filt, 3, LabelInterner())
+    assert tables_from(store) == extract_all_reference(dataset.graphs, filt, 3)[0]
 
 
 @pytest.mark.parametrize("h", [0, 3])
@@ -328,9 +330,9 @@ def test_extract_all_matches_reference_with_signature_gaps(h):
     graphs = [star, LabeledGraph.build(0, []), path, LabeledGraph.build(2, [], [0, 3]), star]
     filt = Filtration((5, 3, 2, 1, 0))
     store = extract_all(graphs, filt, h)
-    reference = LabelInterner()
-    assert tables_from(store) == extract_all_reference(graphs, filt, h, reference)
-    assert store.depth.tolist() == [reference.depth_of[f] for f in range(len(reference))]
+    tables, depth = extract_all_reference(graphs, filt, h)
+    assert tables_from(store) == tables
+    assert store.depth.tolist() == depth
     assert_store_invariants(store, len(graphs), len(filt))
 
 

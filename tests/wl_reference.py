@@ -1,10 +1,12 @@
-"""Vertex-by-vertex WL refinement: the oracle that `wl.extract_all` must match.
+"""Key-by-key WL refinement: the oracle that `wl.extract_all` must match.
 
-One refinement round interns (old label, sorted neighbour labels) per
-vertex, on a `LabeledGraph` built for each filtration level. Interning runs
-graph by graph, level by level, round by round and vertex by vertex, which
-fixes the ids `extract_all` must reproduce, and `LabelInterner` records the
-depth of each id. `filtration_graph` builds one level by Python comparisons.
+`extract_all_reference` refines every filtration level of every graph, each
+level a `LabeledGraph` built by Python comparisons (`filtration_graph`), and
+numbers the labels from the set of keys alone: the sorted initial alphabet
+first, then round by round the distinct keys (old label, sorted neighbour
+labels) of all graphs and levels, in (degree, old label, neighbour labels)
+order. `LabelInterner` and `wl_refine` intern one round vertex by vertex
+instead, for tests of a single refinement step.
 """
 
 from __future__ import annotations
@@ -71,63 +73,58 @@ class LabelInterner:
         return lid
 
 
-def wl_refine(g: LabeledGraph, labels: Sequence[int], interner: LabelInterner) -> list[int]:
-    """One refinement round: new label of v encodes (old label, sorted neighbor labels)."""
+def wl_keys(g: LabeledGraph, labels: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """The refinement key (old label, sorted neighbor labels) of every vertex."""
     if len(labels) != g.n:
         raise ValueError(f"expected {g.n} labels, got {len(labels)}")
     adj = g.adjacency
-    return [
-        interner.refined_id(labels[v], tuple(sorted(labels[u] for u in adj[v])))
-        for v in range(g.n)
-    ]
+    return [(labels[v], tuple(sorted(labels[u] for u in adj[v]))) for v in range(g.n)]
 
 
-def extract_features(
-    g: LabeledGraph,
-    filtration: Filtration,
-    h: int,
-    interner: LabelInterner,
-) -> FeatureTable:
-    """Count every depth-0..h label on every filtration graph of g.
-
-    Level i of a feature's histogram is the number of vertices carrying that
-    label on the i-th filtration graph. Labels never observed do not appear.
-    """
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    k = len(filtration)
-    counts: dict[int, list[int]] = {}
-
-    def bump(lid: int, level: int) -> None:
-        hist = counts.get(lid)
-        if hist is None:
-            hist = [0] * k
-            counts[lid] = hist
-        hist[level] += 1
-
-    initial = [interner.initial_id(raw) for raw in g.labels]
-    for level, alpha in enumerate(filtration.thresholds):
-        g_level = filtration_graph(g, alpha)
-        labels = initial
-        for lid in labels:
-            bump(lid, level)
-        for _ in range(h):
-            labels = wl_refine(g_level, labels, interner)
-            for lid in labels:
-                bump(lid, level)
-
-    return FeatureTable(
-        {lid: FiltrationHistogram(tuple(c)) for lid, c in counts.items()},
-        num_levels=k,
-    )
+def wl_refine(g: LabeledGraph, labels: Sequence[int], interner: LabelInterner) -> list[int]:
+    """One refinement round: new label of v encodes (old label, sorted neighbor labels)."""
+    return [interner.refined_id(*key) for key in wl_keys(g, labels)]
 
 
 def extract_all_reference(
     graphs: Sequence[LabeledGraph],
     filtration: Filtration,
     h: int,
-    interner: LabelInterner,
-) -> list[FeatureTable]:
-    """Feature tables for a dataset: the sorted initial alphabet first, then graph by graph."""
-    interner.register_initial(raw for g in graphs for raw in g.labels)
-    return [extract_features(g, filtration, h, interner) for g in graphs]
+) -> tuple[list[FeatureTable], list[int]]:
+    """Feature tables for a dataset, one per graph, and the depth of every feature id.
+
+    Level i of a feature's histogram is the number of vertices carrying that
+    label on the i-th filtration graph. Labels never observed do not appear.
+    """
+    k = len(filtration)
+    alphabet = sorted({raw for g in graphs for raw in g.labels})
+    initial = {raw: lid for lid, raw in enumerate(alphabet)}
+    depth = [0] * len(alphabet)
+    levels = [filtration_sequence(g, filtration) for g in graphs]
+    # labels[g][i][v]: the current id of vertex v on level i of graph g
+    labels = [[[initial[raw] for raw in g.labels] for _ in range(k)] for g in graphs]
+    counts: list[dict[int, list[int]]] = [{} for _ in graphs]
+
+    def tally() -> None:
+        for table, per_level in zip(counts, labels):
+            for i, level_labels in enumerate(per_level):
+                for lid in level_labels:
+                    table.setdefault(lid, [0] * k)[i] += 1
+
+    tally()
+    for r in range(1, h + 1):
+        keys = [[wl_keys(level, lab) for level, lab in zip(per_graph, per_level)]
+                for per_graph, per_level in zip(levels, labels)]
+        distinct = sorted({key for per_graph in keys for per_level in per_graph
+                           for key in per_level},
+                          key=lambda key: (len(key[1]), key))
+        ids = {key: len(depth) + rank for rank, key in enumerate(distinct)}
+        depth += [r] * len(distinct)
+        labels = [[[ids[key] for key in per_level] for per_level in per_graph]
+                  for per_graph in keys]
+        tally()
+
+    tables = [FeatureTable({lid: FiltrationHistogram(tuple(c)) for lid, c in table.items()},
+                           num_levels=k)
+              for table in counts]
+    return tables, depth
