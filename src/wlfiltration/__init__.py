@@ -25,10 +25,10 @@ from .graphs import (
     write_tud_dataset,
 )
 from .kernels import GramMatrix, KernelConfig, build_filtration, gram_matrix
-from .transport import GroundLine, wasserstein_cdf_points
+from .transport import wasserstein_cdf_points
 from .wl import FeatureCounts, extract_all
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "DatasetFormatError",
@@ -36,7 +36,6 @@ __all__ = [
     "Filtration",
     "GramMatrix",
     "GraphDataset",
-    "GroundLine",
     "KernelConfig",
     "LabeledGraph",
     "RunManifest",

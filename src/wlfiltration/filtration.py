@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -46,19 +48,32 @@ class WeightFunctionSpec:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Strictly decreasing threshold sequence inducing the nested graphs."""
+    """Strictly decreasing finite thresholds: they cut each graph into nested
+    subgraphs, and they are the points of the line on which the Wasserstein
+    distance between level histograms is measured.
+
+    Integer thresholds keep their gaps exact, however large the integers.
+    """
 
     thresholds: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.thresholds:
+        ts = self.thresholds
+        if not ts:
             raise ValueError("a filtration needs at least one threshold")
-        for a, b in zip(self.thresholds, self.thresholds[1:]):
-            if not a > b:
-                raise ValueError("thresholds must be strictly decreasing")
+        # a strictly decreasing run is finite iff its ends are; comparisons,
+        # unlike math.isfinite, stay exact for ints beyond the float range,
+        # and any NaN fails one of them
+        if not (ts[0] < math.inf and ts[-1] > -math.inf and all(a > b for a, b in zip(ts, ts[1:]))):
+            raise ValueError("thresholds must be finite and strictly decreasing")
 
     def __len__(self) -> int:
         return len(self.thresholds)
+
+    @cached_property
+    def gaps(self) -> tuple[float, ...]:
+        """thresholds[i] - thresholds[i + 1], taken before any cast to float."""
+        return tuple(a - b for a, b in zip(self.thresholds, self.thresholds[1:]))
 
     def first_levels(self, weights: np.ndarray) -> np.ndarray:
         """Each edge weight's first level (len(self): on no level); an edge is on
@@ -230,8 +245,8 @@ def fit_thresholds(dataset_weights: Iterable[float], k: int) -> Filtration:
     per block, with the costs of every (start, end) pair of the block as one
     array expression in the same arithmetic as a scalar loop would use.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be >= 1 and an integer, got {k!r}")
     values = sorted(set(dataset_weights))
     if not values:
         raise ValueError("empty edge-weight multiset")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -139,8 +139,16 @@ def manifest_path_for(output_path: str) -> str:
 
 
 def load_manifest(path: str) -> RunManifest:
+    """The manifest saved at `path`; ValueError names the file and every
+    field that is missing from it or unknown to `RunManifest`."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"manifest {path}: not a JSON object")
+    wrong = [f"{'unknown' if name in raw else 'missing'} field {name!r}"
+             for name in sorted({f.name for f in fields(RunManifest)} ^ raw.keys())]
+    if wrong:
+        raise ValueError(f"manifest {path}: {', '.join(wrong)}")
     raw["thresholds"] = tuple(raw["thresholds"])
     return RunManifest(**raw)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ from .filtration import (
     reweight,
 )
 from .graphs import GraphDataset
-from .transport import GroundLine
 from .wl import FeatureCounts, extract_all
 
 VARIANTS = ("linear_combination", "product")
@@ -38,8 +38,8 @@ class KernelConfig:
     normalize: bool = False
 
     def __post_init__(self):
-        if self.h < 0:
-            raise ValueError("h must be >= 0")
+        if not isinstance(self.h, numbers.Integral) or self.h < 0:
+            raise ValueError(f"h must be >= 0 and an integer, got {self.h!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.variant not in VARIANTS:
@@ -65,7 +65,7 @@ class GramMatrix:
 _CHUNK_ENTRIES = 1 << 15
 
 
-def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) -> np.ndarray:
+def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelConfig) -> np.ndarray:
     """Unnormalized kernel matrix from the dataset's feature counts.
 
     Each row's histogram becomes its CDF scaled by the gaps between
@@ -84,10 +84,10 @@ def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) 
     rows, and `np.add.at` adds in index order, so every entry sums its terms
     in ascending feature id, however the rows are chunked.
     """
-    if store.num_levels != len(line):
+    if store.num_levels != len(filtration):
         raise ValueError(
             f"feature counts over {store.num_levels} levels do not match "
-            f"ground line of length {len(line)}"
+            f"ground line of length {len(filtration)}"
         )
     n = store.num_graphs
     product = config.variant == "product"
@@ -105,7 +105,7 @@ def assemble_gram(store: FeatureCounts, line: GroundLine, config: KernelConfig) 
     shared = np.repeat(size > 1, size)
     graph, mass = store.graph[shared], mass[shared]
     cdf = np.cumsum(store.counts[shared, :-1], axis=1) / mass[:, None]
-    cdf *= np.asarray(line.gaps, dtype=np.float64)
+    cdf *= np.asarray(filtration.gaps, dtype=np.float64)
     w1_sum = np.zeros((n, n)) if product else None
     # 1-D views: np.add.at is far faster on flat indices than on index pairs
     flat_acc = acc.reshape(-1)
@@ -187,8 +187,8 @@ def build_filtration(
     single level (0.0,), under which the kernel is the WL label histogram
     kernel.
     """
-    if k != "auto" and k < 1:
-        raise ValueError("k must be >= 1")
+    if k != "auto" and not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be >= 1 and an integer, or 'auto'; got {k!r}")
     pooled = dataset_weights(dataset, spec).tolist()
     if not pooled:
         if k != "auto" and k > 1:
@@ -217,7 +217,7 @@ def gram_matrix_for_filtration(
     weighted = reweight(dataset, spec)
 
     store = extract_all(weighted, filtration, config.h)
-    values = assemble_gram(store, GroundLine(filtration.thresholds), config)
+    values = assemble_gram(store, filtration, config)
 
     if config.normalize:
         scale = 1.0 / np.sqrt(np.diag(values))

@@ -1,4 +1,4 @@
-"""The ground line of the 1-D Wasserstein distance between filtration histograms.
+"""The 1-D Wasserstein distance between filtration histograms.
 
 The thresholds act as points on the real line, so the optimal transport cost
 has a closed form: integrate |CDF difference| over the line.
@@ -7,46 +7,26 @@ has a closed form: integrate |CDF difference| over the line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
+from .filtration import Filtration
 
-@dataclass(frozen=True)
-class GroundLine:
-    """Threshold values as positions on the real line (decreasing order).
-
-    Integer positions keep their gaps exact, however large the integers.
-    """
-
-    positions: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.positions:
-            raise ValueError("ground line needs at least one position")
-        for a, b in zip(self.positions, self.positions[1:]):
-            if a < b:
-                raise ValueError("positions must be non-increasing")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    @cached_property
-    def gaps(self) -> tuple[float, ...]:
-        return tuple(a - b for a, b in zip(self.positions, self.positions[1:]))
+# The thresholds type under its old name, for `perfbench/worker.py`
+# `direct_layers`, its only caller.
+GroundLine = Filtration
 
 
 def wasserstein_cdf_points(
     nz1: Sequence[tuple[int, float]],
     nz2: Sequence[tuple[int, float]],
-    line: GroundLine,
+    line: Filtration,
 ) -> float:
     """Closed form evaluated from sparse (index, cumulative mass) points.
 
     Cost is linear in the number of nonzero entries rather than in the
     histogram length.
     """
-    positions = line.positions
+    positions = line.thresholds
     i = j = 0
     f1 = f2 = 0.0
     prev = None

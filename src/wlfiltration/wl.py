@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,8 +74,8 @@ def extract_all(
     `threads` are accepted for callers written for version 0.7.0 and
     ignored; the result never depended on them.
     """
-    if h < 0:
-        raise ValueError("h must be >= 0")
+    if not isinstance(h, numbers.Integral) or h < 0:
+        raise ValueError(f"h must be >= 0 and an integer, got {h!r}")
     if not isinstance(graphs, GraphDataset):
         graphs = GraphDataset(graphs, [0] * len(graphs))
     k = len(filtration)
@@ -92,8 +93,9 @@ def extract_all(
     labels, depth, copy = _refine(n, labels0, ends, first, refined, edge_graph, live, h,
                                   len(alphabet))
     # A vertex of copy (g, i) labelled f falls in cell (f * graphs + g) * k + i.
-    # Round by round, so that one round's sort is alive at a time; the
-    # rounds' ids are disjoint, and so are their cells.
+    # Round by round, so that one round's sort is alive at a time; every id
+    # of round r is above every id of round r - 1, so the rounds' sorted
+    # cells, concatenated, ascend.
     num_graphs = max(len(n), 1)
     place = np.flatnonzero(refined)[copy]
     del first, live, edge_graph, copy
@@ -103,11 +105,8 @@ def extract_all(
         cells.append(cell)
         tallies.append(tally)
     del labels, place
-    cell = np.concatenate(cells)
-    # each round's cells are sorted already: a stable sort merges the runs
-    order = np.argsort(cell, kind="stable")
-    cell, tally = cell[order], np.concatenate(tallies)[order]
-    del cells, tallies, order
+    cell, tally = np.concatenate(cells), np.concatenate(tallies)
+    del cells, tallies
     key = cell // k  # one row per (feature, graph)
     new = np.ones(len(key), dtype=bool)
     new[1:] = key[1:] != key[:-1]

@@ -23,13 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from wlfiltration import FeatureCounts, GroundLine, KernelConfig
+from wlfiltration import FeatureCounts, Filtration, KernelConfig
 from wlfiltration.transport import wasserstein_cdf_points
 
 MASS_TOLERANCE = 1e-9
 
 
-def _check_pair(h1: Sequence[float], h2: Sequence[float], line: GroundLine) -> None:
+def _check_pair(h1: Sequence[float], h2: Sequence[float], line: Filtration) -> None:
     if len(h1) != len(line) or len(h2) != len(line):
         raise ValueError(
             f"histogram lengths {len(h1)}, {len(h2)} do not match ground line of length {len(line)}"
@@ -40,7 +40,7 @@ def _check_pair(h1: Sequence[float], h2: Sequence[float], line: GroundLine) -> N
             raise ValueError(f"histogram mass {total} differs from 1 beyond tolerance")
 
 
-def wasserstein_1d(h1: Sequence[float], h2: Sequence[float], line: GroundLine) -> float:
+def wasserstein_1d(h1: Sequence[float], h2: Sequence[float], line: Filtration) -> float:
     """Closed-form transport distance between two unit-mass histograms.
 
     Equals sum over i of |F1(i) - F2(i)| * gap(i) with F the prefix-sum
@@ -62,7 +62,7 @@ def wasserstein_matching(
     counts1: Sequence[int],
     counts2: Sequence[int],
     denominator: int,
-    line: GroundLine,
+    line: Filtration,
 ) -> float:
     """Transport distance evaluated straight from its definition.
 
@@ -77,8 +77,8 @@ def wasserstein_matching(
         raise ValueError("count vectors must match the ground line length")
     if sum(counts1) != denominator or sum(counts2) != denominator:
         raise ValueError("count vectors must each sum to the denominator")
-    atoms1 = [p for p, c in zip(line.positions, counts1) for _ in range(c)]
-    atoms2 = [p for p, c in zip(line.positions, counts2) for _ in range(c)]
+    atoms1 = [p for p, c in zip(line.thresholds, counts1) for _ in range(c)]
+    atoms2 = [p for p, c in zip(line.thresholds, counts2) for _ in range(c)]
     atoms1.sort()
     atoms2.sort()
     return math.fsum(abs(a - b) for a, b in zip(atoms1, atoms2)) / denominator
@@ -87,7 +87,7 @@ def wasserstein_matching(
 def base_kernel(
     h1: Sequence[float],
     h2: Sequence[float],
-    line: GroundLine,
+    line: Filtration,
     gamma: float,
 ) -> float:
     """exp(-gamma * W) on unit-mass histograms; gamma = 0 degenerates to 1."""
@@ -160,7 +160,7 @@ def dump_feature_table(table: FeatureTable, depth: Sequence[int]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _check_tables(t1: FeatureTable, t2: FeatureTable, line: GroundLine) -> None:
+def _check_tables(t1: FeatureTable, t2: FeatureTable, line: Filtration) -> None:
     if t1.num_levels != len(line) or t2.num_levels != len(line):
         raise ValueError(
             f"feature tables over {t1.num_levels}/{t2.num_levels} levels do not match "
@@ -171,7 +171,7 @@ def _check_tables(t1: FeatureTable, t2: FeatureTable, line: GroundLine) -> None:
 def filtration_kernel_pair(
     t1: FeatureTable,
     t2: FeatureTable,
-    line: GroundLine,
+    line: Filtration,
     gamma: float,
 ) -> float:
     """Sum over shared features of exp(-gamma*W) weighted by both histogram masses.
@@ -195,7 +195,7 @@ def filtration_kernel_pair(
 def product_kernel_pair(
     t1: FeatureTable,
     t2: FeatureTable,
-    line: GroundLine,
+    line: Filtration,
     gamma: float,
     beta: float,
 ) -> float:
@@ -239,7 +239,7 @@ _CHUNK_ENTRIES = 1 << 15
 
 
 def assemble_gram_reference(
-    store: FeatureCounts, line: GroundLine, config: KernelConfig
+    store: FeatureCounts, line: Filtration, config: KernelConfig
 ) -> np.ndarray:
     """Unnormalized kernel matrix from the dataset's feature counts.
 

@@ -17,7 +17,6 @@ import pytest
 from wlfiltration import (
     Filtration,
     GraphDataset,
-    GroundLine,
     KernelConfig,
     WeightFunctionSpec,
     extract_all,
@@ -49,7 +48,7 @@ def report(number: int, ok: bool, description: str) -> None:
 
 def _tables_k1(graphs, h):
     tables = tables_from(extract_all(list(graphs), Filtration((0.0,)), h))
-    return tables, GroundLine((0.0,))
+    return tables, Filtration((0.0,))
 
 
 def _rel_close(a: float, b: float, rel: float) -> bool:

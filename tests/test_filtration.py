@@ -1,6 +1,7 @@
 """Weight functions, threshold fitting, and filtration-graph construction."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -503,6 +504,22 @@ def test_threshold_sequences_are_strictly_decreasing():
 def test_filtration_needs_a_threshold():
     with pytest.raises(ValueError, match="a filtration needs at least one threshold"):
         Filtration(())
+
+
+# an infinite threshold makes an infinite gap, from which assembly would
+# write NaN entries, and under a NaN threshold no edge is on any level
+@pytest.mark.parametrize("thresholds", [
+    (math.inf, 1.0), (2.0, -math.inf), (math.nan,), (math.nan, 1.0), (3.0, math.nan, 1.0),
+])
+def test_filtration_rejects_non_finite_thresholds(thresholds):
+    with pytest.raises(ValueError, match="thresholds must be finite"):
+        Filtration(thresholds)
+
+
+def test_filtration_gaps_stay_exact_beyond_the_float_range():
+    # math.isfinite(2**2000) raises OverflowError; the constructor's checks do not
+    filt = Filtration((2**2000 + 1, 2**2000, 5))
+    assert filt.gaps == (1, 2**2000 - 5)
 
 
 def test_filtration_graph_boundaries():

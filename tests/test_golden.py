@@ -86,7 +86,7 @@ def test_pyproject_version_matches_package():
 # the pipeline's names; the oracles that only tests call live in tests/
 PUBLIC_NAMES = {
     "DatasetFormatError", "FeatureCounts", "Filtration", "GramMatrix", "GraphDataset",
-    "GroundLine", "KernelConfig", "LabeledGraph", "RunManifest", "WeightFunctionSpec",
+    "KernelConfig", "LabeledGraph", "RunManifest", "WeightFunctionSpec",
     "build_filtration", "csl_graph", "dataset_weights", "extract_all", "fit_thresholds",
     "fit_thresholds_auto", "generate_csl", "generate_csl_benchmark", "gram_matrix",
     "load_manifest", "load_tud_dataset", "permute_graph", "reweight",
@@ -95,7 +95,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    assert len(wlfiltration.__all__) == len(PUBLIC_NAMES) == 26
+    assert len(wlfiltration.__all__) == len(PUBLIC_NAMES) == 25
     assert set(wlfiltration.__all__) == PUBLIC_NAMES
     for name in wlfiltration.__all__:
         assert getattr(wlfiltration, name) is not None

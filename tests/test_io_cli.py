@@ -353,6 +353,26 @@ def test_replay_rejects_a_value_compute_does_not_record(tmp_path, mini_tud_dir, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda raw: {key: value for key, value in raw.items() if key != "beta"},
+     "missing field 'beta'"),
+    (lambda raw: raw | {"gram_sha256": "0"}, "unknown field 'gram_sha256'"),
+    (lambda raw: list(raw.values()), "not a JSON object"),
+], ids=["missing", "unknown", "list"])
+def test_load_manifest_names_the_file_and_the_field(tmp_path, mini_tud_dir, edit, named):
+    out = tmp_path / "mini.csv"
+    assert _run_cli("compute", "--dataset", mini_tud_dir, "--name", "MINI20",
+                    "--out", str(out)) == 0
+    path = manifest_path_for(str(out))
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(edit(raw), fh)
+    with pytest.raises(ValueError) as caught:
+        load_manifest(path)
+    assert str(caught.value) == f"manifest {path}: {named}"
+
+
 def test_manifest_keeps_integer_thresholds_exact(tmp_path):
     # walks of length <= 60 on a triangle number about 2**60, beyond exact floats
     graphs = (LabeledGraph.build(3, [(0, 1), (1, 2), (2, 0)]),

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from wlfiltration import (
     Filtration,
     GraphDataset,
-    GroundLine,
     KernelConfig,
     LabeledGraph,
     WeightFunctionSpec,
     build_filtration,
     extract_all,
+    fit_thresholds,
     fit_thresholds_auto,
     gram_matrix,
     permute_graph,
@@ -62,7 +62,7 @@ def test_kernel_config_validation():
 
 
 def test_filtration_pair_disjoint_features_is_zero():
-    line = GroundLine((1.0, 0.0))
+    line = Filtration((1.0, 0.0))
     t1 = table({0: (1, 1)}, 2)
     t2 = table({1: (2, 0)}, 2)
     assert filtration_kernel_pair(t1, t2, line, 1.0) == 0.0
@@ -71,14 +71,14 @@ def test_filtration_pair_disjoint_features_is_zero():
 def test_filtration_pair_single_edge_self():
     g = LabeledGraph.build(2, [(0, 1)])
     tables = tables_from(extract_all([g, g], Filtration((0.0,)), 0))
-    line = GroundLine((0.0,))
+    line = Filtration((0.0,))
     value = filtration_kernel_pair(tables[0], tables[1], line, 1.0)
     assert value == 4.0
     assert value == histogram_kernel_pair(tables[0], tables[1])
 
 
 def test_filtration_pair_rejects_mismatched_levels():
-    line = GroundLine((1.0, 0.0))
+    line = Filtration((1.0, 0.0))
     with pytest.raises(ValueError, match="levels"):
         filtration_kernel_pair(table({0: (1,)}, 1), table({0: (1, 1)}, 2), line, 1.0)
 
@@ -88,7 +88,7 @@ def test_k1_reduction_to_histogram_kernel():
     graphs = [random_graph(rng, max_n=10) for _ in range(12)]
     for h in range(3):
         tables = tables_from(extract_all(graphs, Filtration((0.0,)), h))
-        line = GroundLine((0.0,))
+        line = Filtration((0.0,))
         for t1, t2 in itertools.combinations(tables, 2):
             filt_val = filtration_kernel_pair(t1, t2, line, 2.5)
             hist_val = histogram_kernel_pair(t1, t2)
@@ -107,12 +107,12 @@ def test_histogram_kernel_examples():
 
 def test_product_pair_identical_tables_is_one():
     t = table({0: (2, 1), 3: (0, 4)}, 2)
-    assert product_kernel_pair(t, t, GroundLine((1.0, 0.0)), 1.7, 0.9) == 1.0
+    assert product_kernel_pair(t, t, Filtration((1.0, 0.0)), 1.7, 0.9) == 1.0
 
 
 def test_product_pair_single_feature_mass_gap():
     # one shared feature, masses 3 vs 1, identical normalized histograms
-    line = GroundLine((1.0, 0.0))
+    line = Filtration((1.0, 0.0))
     t1 = table({5: (3, 0)}, 2)
     t2 = table({5: (1, 0)}, 2)
     value = product_kernel_pair(t1, t2, line, 4.0, 0.25)
@@ -120,7 +120,7 @@ def test_product_pair_single_feature_mass_gap():
 
 
 def test_product_pair_one_sided_feature():
-    line = GroundLine((1.0, 0.0))
+    line = Filtration((1.0, 0.0))
     t1 = table({0: (1, 1)}, 2)
     t2 = table({}, 2)
     assert product_kernel_pair(t1, t2, line, 1.0, 0.5) == pytest.approx(
@@ -134,7 +134,7 @@ def test_product_k1_reduction_to_rbf():
     beta = 0.3
     for h in range(3):
         tables = tables_from(extract_all(graphs, Filtration((0.0,)), h))
-        line = GroundLine((0.0,))
+        line = Filtration((0.0,))
         for t1, t2 in itertools.combinations(tables, 2):
             prod_val = product_kernel_pair(t1, t2, line, 1.9, beta)
             ids = set(t1.features) | set(t2.features)
@@ -232,6 +232,29 @@ def test_build_filtration_rejects_k_below_one_with_or_without_edges(k):
             build_filtration(ds, WeightFunctionSpec("degree"), k)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(2.0), "3"])
+def test_non_integer_k_and_h_are_rejected_by_name(value):
+    ds = GraphDataset((LabeledGraph.build(3, [(0, 1)]),), (0,))
+    with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
+        build_filtration(ds, WeightFunctionSpec("degree"), value)
+    with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
+        fit_thresholds([1.0, 2.0, 3.0], value)
+    with pytest.raises(ValueError, match="h must be >= 0 and an integer"):
+        KernelConfig(h=value)
+    with pytest.raises(ValueError, match="h must be >= 0 and an integer"):
+        extract_all(ds, Filtration((1.0,)), value)
+
+
+def test_numpy_integer_k_and_h_are_accepted():
+    ds = random_dataset(5, 6, max_n=7)
+    spec = WeightFunctionSpec("degree")
+    filt = build_filtration(ds, spec, np.int64(2))
+    assert filt == build_filtration(ds, spec, 2)
+    assert fit_thresholds([1.0, 2.0, 3.0], np.int32(2)) == fit_thresholds([1.0, 2.0, 3.0], 2)
+    K = gram_matrix(ds, spec, filt, KernelConfig(h=np.int64(2))).values
+    assert K.tobytes() == gram_matrix(ds, spec, filt, KernelConfig(h=2)).values.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 3, "auto"])
 def test_gram_matrix_takes_a_filtration_as_k(k):
     ds = random_dataset(18, 8, max_n=8)
@@ -272,7 +295,7 @@ def test_integer_thresholds_keep_exact_gaps():
     a = LabeledGraph.build(6, edges, weights=[2**60 + 2, 2**60, 5])
     b = LabeledGraph.build(6, edges, weights=[2**60 + 1, 2**60 + 1, 5])
     filt = fit_thresholds_auto([2**60, 2**60 + 1, 2**60 + 2, 5])
-    assert GroundLine(filt.thresholds).gaps == (1, 1, 2**60 - 5)
+    assert filt.gaps == (1, 1, 2**60 - 5)
     ds = GraphDataset((a, b), (0, 1))
     K = gram_matrix(ds, WeightFunctionSpec(), filt, KernelConfig(h=1)).values
     assert squared_kernel_distance(K, 0, 1) > 0.1
@@ -291,7 +314,7 @@ def test_gram_on_reversed_cube_matches_oracle():
     weighted = [reweight(g, spec) for g in ds.graphs]
     tables = tables_from(extract_all(weighted, filt, 2))
     K = gram_matrix(ds, spec, 1, cfg).values
-    expected = oracle_gram(tables, GroundLine(filt.thresholds), cfg)
+    expected = oracle_gram(tables, filt, cfg)
     np.testing.assert_allclose(K, expected, rtol=1e-12, atol=0)
 
 
@@ -341,7 +364,7 @@ def test_gram_matches_pair_oracles(variant, k, h, normalize, seed):
     assert any(held.count(fid) == 1 for fid in held)
 
     K = gram_matrix(ds, spec, k, cfg).values
-    expected = oracle_gram(tables, GroundLine(filt.thresholds), cfg)
+    expected = oracle_gram(tables, filt, cfg)
     np.testing.assert_allclose(K, expected, rtol=1e-12, atol=0)
     assert np.array_equal(K, K.T)
 
@@ -357,20 +380,19 @@ def test_assemble_row_chunks_do_not_change_values(monkeypatch, variant):
     filt = build_filtration(ds, spec, 6)
     store = extract_all(graphs, filt, 1)
     assert np.count_nonzero(store.feature == 0) == len(graphs)
-    line = GroundLine(filt.thresholds)
     cfg = KernelConfig(h=1, beta=0.05, variant=variant)
-    expected = assemble_gram_reference(store, line, cfg).tobytes()
-    assert kernels.assemble_gram(store, line, cfg).tobytes() == expected
+    expected = assemble_gram_reference(store, filt, cfg).tobytes()
+    assert kernels.assemble_gram(store, filt, cfg).tobytes() == expected
     # a chunk of e entries holds e // (k - 1) pairs, at least one; the
     # mirror then copies one row at a time (21 // 35 rows: at least one)
     assert len(filt) == 6
     for entries in (1, 35):
         monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", entries)
-        assert kernels.assemble_gram(store, line, cfg).tobytes() == expected
+        assert kernels.assemble_gram(store, filt, cfg).tobytes() == expected
 
 
 def shaped_store(seed, shape, k, h):
-    """Feature counts of a `weighted_dataset` variant, with the ground line.
+    """Feature counts of a `weighted_dataset` variant, with their filtration.
 
     'one' is the path alone and 'distinct' gives every vertex a label of its
     own, so no feature is shared; 'copies' repeats the path, so every feature
@@ -387,7 +409,7 @@ def shaped_store(seed, shape, k, h):
                        for g, lo in zip(graphs, start.tolist()))
     ds = GraphDataset(tuple(graphs), (0,) * len(graphs))
     filt = build_filtration(ds, WeightFunctionSpec("native"), k)
-    return extract_all(ds, filt, h), GroundLine(filt.thresholds)
+    return extract_all(ds, filt, h), filt
 
 
 @pytest.mark.parametrize("variant", ["linear_combination", "product"])
@@ -442,7 +464,7 @@ def test_assemble_gram_symmetric_with_squared_mass_diagonal(variant, seed):
 def test_assemble_rejects_counts_off_the_ground_line():
     store = extract_all([LabeledGraph.build(2, [(0, 1)], weights=[1.0])], Filtration((1.0, 0.0)), 1)
     with pytest.raises(ValueError, match="over 2 levels .* ground line of length 3"):
-        kernels.assemble_gram(store, GroundLine((2.0, 1.0, 0.0)), KernelConfig())
+        kernels.assemble_gram(store, Filtration((2.0, 1.0, 0.0)), KernelConfig())
 
 
 @pytest.mark.parametrize("variant", ["linear_combination", "product"])

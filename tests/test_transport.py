@@ -6,15 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from wlfiltration import GroundLine, wasserstein_cdf_points
+from wlfiltration import Filtration, wasserstein_cdf_points
 
 from kernel_reference import base_kernel, wasserstein_1d, wasserstein_matching
 
 
-def random_line(rng: random.Random, max_k: int = 8) -> GroundLine:
+def random_line(rng: random.Random, max_k: int = 8) -> Filtration:
     size = rng.randint(1, max_k)
     positions = sorted({round(rng.uniform(0.0, 10.0), 4) for _ in range(size)}, reverse=True)
-    return GroundLine(tuple(positions) or (0.0,))
+    return Filtration(tuple(positions) or (0.0,))
 
 
 def random_rational_hist(rng: random.Random, k: int, denominator: int):
@@ -24,24 +24,24 @@ def random_rational_hist(rng: random.Random, k: int, denominator: int):
 
 
 def test_ground_line_validation():
-    line = GroundLine((3.0, 1.0, 0.0))
+    line = Filtration((3.0, 1.0, 0.0))
     assert line.gaps == (2.0, 1.0)
     with pytest.raises(ValueError):
-        GroundLine(())
-    with pytest.raises(ValueError, match="non-increasing"):
-        GroundLine((1.0, 2.0))
+        Filtration(())
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        Filtration((1.0, 2.0))
 
 
 def test_wasserstein_examples():
-    assert wasserstein_1d((1.0, 0.0), (1.0, 0.0), GroundLine((2.0, 0.0))) == 0.0
-    assert wasserstein_1d((1.0, 0.0), (0.0, 1.0), GroundLine((2.0, 0.0))) == 2.0
+    assert wasserstein_1d((1.0, 0.0), (1.0, 0.0), Filtration((2.0, 0.0))) == 0.0
+    assert wasserstein_1d((1.0, 0.0), (0.0, 1.0), Filtration((2.0, 0.0))) == 2.0
     assert wasserstein_1d(
-        (0.5, 0.0, 0.5), (0.0, 0.5, 0.5), GroundLine((3.0, 1.0, 0.0))
+        (0.5, 0.0, 0.5), (0.0, 0.5, 0.5), Filtration((3.0, 1.0, 0.0))
     ) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wasserstein_input_validation():
-    line = GroundLine((1.0, 0.0))
+    line = Filtration((1.0, 0.0))
     with pytest.raises(ValueError, match="length"):
         wasserstein_1d((1.0,), (0.5, 0.5), line)
     with pytest.raises(ValueError, match="mass"):
@@ -49,7 +49,7 @@ def test_wasserstein_input_validation():
 
 
 def test_matching_oracle_examples():
-    line = GroundLine((2.0, 0.0))
+    line = Filtration((2.0, 0.0))
     assert wasserstein_matching([1, 0], [1, 0], 1, line) == 0.0
     assert wasserstein_matching([1, 0], [0, 1], 1, line) == 2.0
     with pytest.raises(ValueError, match="denominator"):
@@ -122,14 +122,14 @@ def test_scale_covariance():
         _, h2 = random_rational_hist(rng, k, 30)
         base = wasserstein_1d(h1, h2, line)
         for scale in (0.5, 2.0, 7.25):
-            scaled = GroundLine(tuple(p * scale for p in line.positions))
+            scaled = Filtration(tuple(p * scale for p in line.thresholds))
             assert wasserstein_1d(h1, h2, scaled) == pytest.approx(
                 scale * base, rel=1e-12, abs=1e-12
             )
 
 
 def test_base_kernel_values():
-    line = GroundLine((1.0, 0.0))
+    line = Filtration((1.0, 0.0))
     assert base_kernel((0.5, 0.5), (0.5, 0.5), line, 4.2) == 1.0
     assert base_kernel((1.0, 0.0), (0.0, 1.0), line, 0.0) == 1.0
     # W = 1.0 at gamma 0.5
