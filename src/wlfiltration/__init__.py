@@ -10,9 +10,9 @@ from .csl import csl_graph, generate_csl, generate_csl_benchmark
 from .filtration import (
     Filtration,
     WeightFunctionSpec,
+    build_filtration,
     dataset_weights,
     fit_thresholds,
-    fit_thresholds_auto,
     reweight,
 )
 from .gram_io import RunManifest, load_manifest, write_gram
@@ -24,11 +24,11 @@ from .graphs import (
     permute_graph,
     write_tud_dataset,
 )
-from .kernels import GramMatrix, KernelConfig, build_filtration, gram_matrix
+from .kernels import GramMatrix, KernelConfig, gram_matrix
 from .transport import wasserstein_cdf_points
 from .wl import FeatureCounts, extract_all
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
     "DatasetFormatError",
@@ -45,7 +45,6 @@ __all__ = [
     "dataset_weights",
     "extract_all",
     "fit_thresholds",
-    "fit_thresholds_auto",
     "generate_csl",
     "generate_csl_benchmark",
     "gram_matrix",

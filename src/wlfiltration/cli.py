@@ -10,10 +10,10 @@ import time
 import numpy as np
 
 from .csl import generate_csl, generate_csl_benchmark
-from .filtration import WEIGHT_KINDS, WeightFunctionSpec, reweight
+from .filtration import WEIGHT_KINDS, WeightFunctionSpec, build_filtration, reweight
 from .gram_io import FORMATS, RunManifest, load_manifest, manifest_path_for, write_gram
 from .graphs import load_tud_dataset, write_tud_dataset
-from .kernels import KernelConfig, build_filtration, gram_matrix
+from .kernels import KernelConfig, gram_matrix
 from .wl import extract_all
 
 _VARIANT_FLAG = {"linear": "linear_combination", "product": "product"}

@@ -42,8 +42,9 @@ class WeightFunctionSpec:
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}, expected one of {WEIGHT_KINDS}")
-        if self.kind == "walks" and self.walk_length < 1:
-            raise ValueError("walk_length must be >= 1")
+        length = self.walk_length
+        if self.kind == "walks" and not (isinstance(length, numbers.Integral) and length >= 1):
+            raise ValueError(f"walk_length must be >= 1 and an integer, got {length!r}")
 
 
 @dataclass(frozen=True)
@@ -231,32 +232,60 @@ def reweight(data: LabeledGraph | GraphDataset, spec: WeightFunctionSpec):
     return data._with_weights(dataset_weights(data, spec))
 
 
-def fit_thresholds(dataset_weights: Iterable[float], k: int) -> Filtration:
+def _check_k(k) -> None:
+    """The filtration length rule: an integer >= 1, or 'auto'."""
+    if k != "auto" and not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be >= 1 and an integer, or 'auto'; got {k!r}")
+
+
+def build_filtration(dataset: GraphDataset, spec: WeightFunctionSpec, k: int | str) -> Filtration:
+    """Shared thresholds fitted to the dataset's pooled edge weights under `spec`.
+
+    `k` is the filtration length or 'auto'. A dataset without edges gets the
+    single level (0.0,), under which the kernel is the WL label histogram
+    kernel.
+    """
+    _check_k(k)
+    pooled = dataset_weights(dataset, spec).tolist()
+    if not pooled:
+        if k != "auto" and k > 1:
+            warnings.warn(
+                f"no edge weights; filtration length reduced from {k} to 1", stacklevel=2
+            )
+        return Filtration((0.0,))
+    return fit_thresholds(pooled, k)
+
+
+def fit_thresholds(dataset_weights: Iterable[float], k: int | str) -> Filtration:
     """Thresholds from exact 1-D k-means over the distinct weight values.
 
     The optimal partition of the sorted distinct values into k contiguous
     clusters (minimal total within-cluster SSE) is found by dynamic
     programming; ties prefer smaller leading clusters. Threshold i is the
-    minimum element of the i-th cluster, ordered decreasingly. When fewer
-    than k distinct values exist, the filtration shrinks to that count.
+    minimum element of the i-th cluster, ordered decreasingly.
 
-    For d distinct values this takes O(k*d**2) float64 work in numpy: the
-    DP is filled a block of consecutive cluster starts at a time, all layers
-    per block, with the costs of every (start, end) pair of the block as one
-    array expression in the same arithmetic as a scalar loop would use.
+    With k = 'auto', or k at least the number d of distinct values, every
+    value is its own cluster (SSE 0, which no other partition reaches): the
+    thresholds are the d distinct values, decreasing, and no DP is run; an
+    integer k > d warns that the filtration shrank to d.
+
+    Otherwise this takes O(k*d**2) float64 work in numpy: the DP is filled
+    a block of consecutive cluster starts at a time, all layers per block,
+    with the costs of every (start, end) pair of the block as one array
+    expression in the same arithmetic as a scalar loop would use.
     """
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"k must be >= 1 and an integer, got {k!r}")
+    _check_k(k)
     values = sorted(set(dataset_weights))
     if not values:
         raise ValueError("empty edge-weight multiset")
     d = len(values)
-    if k > d:
+    if k != "auto" and k > d:
         warnings.warn(
             f"only {d} distinct edge weights; filtration length reduced from {k} to {d}",
             stacklevel=2,
         )
-        k = d
+    if k == "auto" or k >= d:
+        return Filtration(tuple(reversed(values)))
 
     # Sequential sums from 0.0, so they round like a running Python total.
     x = np.array(values, dtype=np.float64)
@@ -314,11 +343,3 @@ def fit_thresholds(dataset_weights: Iterable[float], k: int) -> Filtration:
         minima.append(values[i])
         i = end[t, i] + 1
     return Filtration(tuple(reversed(minima)))
-
-
-def fit_thresholds_auto(dataset_weights: Iterable[float]) -> Filtration:
-    """One threshold per distinct weight value, in decreasing order."""
-    values = sorted(set(dataset_weights), reverse=True)
-    if not values:
-        raise ValueError("empty edge-weight multiset")
-    return Filtration(tuple(values))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -138,9 +139,20 @@ def manifest_path_for(output_path: str) -> str:
     return output_path + ".manifest.json"
 
 
+def _json_fits(value, kind) -> bool:
+    """Whether a JSON value fits a `RunManifest` field of type `kind`: a bool
+    is no number, an int fits a float field, and the thresholds, the one
+    field of another type, take a list of numbers."""
+    if kind not in (str, int, float, bool):
+        return isinstance(value, list) and all(_json_fits(v, float) for v in value)
+    takes = (int, float) if kind is float else kind
+    return isinstance(value, takes) and isinstance(value, bool) == (kind is bool)
+
+
 def load_manifest(path: str) -> RunManifest:
     """The manifest saved at `path`; ValueError names the file and every
-    field that is missing from it or unknown to `RunManifest`."""
+    field that is missing from it or unknown to `RunManifest`, or else the
+    first field whose value does not have the field's type."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -149,6 +161,11 @@ def load_manifest(path: str) -> RunManifest:
              for name in sorted({f.name for f in fields(RunManifest)} ^ raw.keys())]
     if wrong:
         raise ValueError(f"manifest {path}: {', '.join(wrong)}")
+    for name, kind in get_type_hints(RunManifest).items():
+        if not _json_fits(raw[name], kind):
+            expected = "a list of numbers" if name == "thresholds" else kind.__name__
+            raise ValueError(f"manifest {path}: manifest field {name!r} has invalid value "
+                             f"{raw[name]!r}, expected {expected}")
     raw["thresholds"] = tuple(raw["thresholds"])
     return RunManifest(**raw)
 

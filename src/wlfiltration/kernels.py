@@ -4,19 +4,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .filtration import (
-    Filtration,
-    WeightFunctionSpec,
-    dataset_weights,
-    fit_thresholds,
-    fit_thresholds_auto,
-    reweight,
-)
+from .filtration import Filtration, WeightFunctionSpec, build_filtration, reweight
 from .graphs import GraphDataset
 from .wl import FeatureCounts, extract_all
 
@@ -176,27 +168,6 @@ def gram_matrix(
     native = WeightFunctionSpec()
     filtration = k if isinstance(k, Filtration) else build_filtration(weighted, native, k)
     return gram_matrix_for_filtration(weighted, native, filtration, config)
-
-
-def build_filtration(
-    dataset: GraphDataset, spec: WeightFunctionSpec, k: int | str
-) -> Filtration:
-    """Shared thresholds fitted to the dataset's pooled edge weights under `spec`.
-
-    `k` is the filtration length or 'auto'. A dataset without edges gets the
-    single level (0.0,), under which the kernel is the WL label histogram
-    kernel.
-    """
-    if k != "auto" and not (isinstance(k, numbers.Integral) and k >= 1):
-        raise ValueError(f"k must be >= 1 and an integer, or 'auto'; got {k!r}")
-    pooled = dataset_weights(dataset, spec).tolist()
-    if not pooled:
-        if k != "auto" and k > 1:
-            warnings.warn(
-                f"no edge weights; filtration length reduced from {k} to 1", stacklevel=2
-            )
-        return Filtration((0.0,))
-    return fit_thresholds_auto(pooled) if k == "auto" else fit_thresholds(pooled, k)
 
 
 def gram_matrix_for_filtration(

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from wlfiltration import (
     WeightFunctionSpec,
     dataset_weights,
     fit_thresholds,
-    fit_thresholds_auto,
     permute_graph,
     reweight,
 )
@@ -431,15 +431,16 @@ _WEIGHT_LISTS = st.one_of(
 )
 
 
+# 'auto' is the reference's k = d, the number of distinct values
 @settings(max_examples=300, deadline=None)
-@given(values=_WEIGHT_LISTS, k=st.integers(1, 12))
+@given(values=_WEIGHT_LISTS, k=st.one_of(st.integers(1, 12), st.just("auto")))
 def test_fit_thresholds_matches_scalar_reference(values, k):
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = fit_thresholds(values, k).thresholds
-    want = _fit_thresholds_reference(values, k).thresholds
+    want = _fit_thresholds_reference(values, len(set(values)) if k == "auto" else k).thresholds
     assert got == want
     assert [type(t) for t in got] == [type(t) for t in want]
 
@@ -476,10 +477,35 @@ def test_fit_thresholds_tie_prefers_small_leading_cluster():
 
 
 def test_fit_thresholds_auto():
-    assert fit_thresholds_auto([0, 1, 3, 3]).thresholds == (3, 1, 0)
-    assert fit_thresholds_auto([2.5] * 4).thresholds == (2.5,)
+    assert fit_thresholds([0, 1, 3, 3], "auto").thresholds == (3, 1, 0)
+    assert fit_thresholds([2.5] * 4, "auto").thresholds == (2.5,)
     with pytest.raises(ValueError):
-        fit_thresholds_auto([])
+        fit_thresholds([], "auto")
+
+
+@pytest.mark.parametrize("values", [[0, 1, 3, 3], [2.5] * 4, [2**60 + 1, 2**60, 0.5, 7]])
+def test_fit_thresholds_from_k_d_on_is_auto_without_the_dp(monkeypatch, values):
+    d = len(set(values))
+    auto = fit_thresholds(values, "auto")
+    assert auto.thresholds == tuple(sorted(set(values), reverse=True))
+    # with every sum "too large", the DP refuses to start
+    monkeypatch.setattr(filtration, "_FIT_MAX_TOTAL", -1.0)
+    assert fit_thresholds(values, d) == auto
+    for k in (d + 1, d + 5):
+        with pytest.warns(UserWarning, match=f"filtration length reduced from {k} to {d}"):
+            assert fit_thresholds(values, k) == auto
+    if d > 1:
+        with pytest.raises(ValueError, match="too large for the threshold fit"):
+            fit_thresholds(values, d - 1)
+
+
+def test_fit_thresholds_one_cluster_per_value_is_fast():
+    # through the O(k*d**2) DP this took about 4 s on 2 vCPUs; the shortcut is a sort
+    values = [i / 7 for i in random.Random(2000).sample(range(10**6), 2000)]
+    start = time.perf_counter()
+    thresholds = fit_thresholds(values, 2000).thresholds
+    assert time.perf_counter() - start < 1.0
+    assert thresholds == tuple(sorted(values, reverse=True))
 
 
 def test_fit_thresholds_rejects_weights_whose_squares_overflow():
@@ -494,7 +520,7 @@ def test_threshold_sequences_are_strictly_decreasing():
     rng = random.Random(3)
     for _ in range(30):
         values = [rng.choice([0, 0.5, 1, 2, 4, 8]) for _ in range(rng.randint(1, 20))]
-        filt = fit_thresholds_auto(values)
+        filt = fit_thresholds(values, "auto")
         assert all(a > b for a, b in zip(filt.thresholds, filt.thresholds[1:]))
         assert filt.thresholds[-1] <= min(values)
     with pytest.raises(ValueError, match="strictly decreasing"):
@@ -562,7 +588,7 @@ def test_nestedness_and_last_level():
     for _ in range(20):
         g = random_graph(rng, max_n=10)
         g = reweight(g, DEGREE)
-        filt = fit_thresholds_auto(g.weights) if g.edges else None
+        filt = fit_thresholds(g.weights, "auto") if g.edges else None
         if filt is None:
             continue
         seq = filtration_sequence(g, filt)

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,6 +308,30 @@ def test_cli_csl_needs_n_and_s_together(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+def test_module_entry_point_exit_codes(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "wlfiltration.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    made = run("csl", "--out", str(tmp_path / "c"), "--name", "C", "--copies", "1",
+               "--n", "13", "--s", "3")
+    assert made.returncode == 0, made.stderr
+    assert (tmp_path / "c" / "C_A.txt").exists()
+    missing = run("compute", "--dataset", str(tmp_path / "none"), "--name", "C",
+                  "--out", str(tmp_path / "g.csv"))
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("error (")
+    bad_k = run("compute", "--dataset", str(tmp_path / "c"), "--name", "C", "--k", "0",
+                "--out", str(tmp_path / "g.csv"))
+    assert bad_k.returncode == 2
+    assert "--k must be >= 1" in bad_k.stderr
+    assert not (tmp_path / "g.csv").exists()
+
+
 # both variants with --normalize, both formats, walks with a --lambda, k as
 # auto and as an integer, and --threads 2
 _REPLAYED_FLAGS = [
@@ -353,12 +379,25 @@ def test_replay_rejects_a_value_compute_does_not_record(tmp_path, mini_tud_dir, 
     assert not out.exists()
 
 
+# A string "false" is truthy, and "1.0" would reach math.isfinite as a str.
+_MISTYPED = [
+    ("normalize", "false", "bool"), ("normalize", 0, "bool"), ("gamma", "1.0", "float"),
+    ("beta", True, "float"), ("h", 2.0, "int"), ("threads", False, "int"),
+    ("walk_length", 2.5, "int"), ("dataset_name", 7, "str"), ("k", 3, "str"),
+    ("wall_time_seconds", None, "float"), ("thresholds", 1.5, "a list of numbers"),
+    ("thresholds", [2, "1"], "a list of numbers"), ("thresholds", [True], "a list of numbers"),
+]
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda raw: {key: value for key, value in raw.items() if key != "beta"},
      "missing field 'beta'"),
     (lambda raw: raw | {"gram_sha256": "0"}, "unknown field 'gram_sha256'"),
     (lambda raw: list(raw.values()), "not a JSON object"),
-], ids=["missing", "unknown", "list"])
+] + [(lambda raw, field=field, value=value: raw | {field: value},
+      f"manifest field {field!r} has invalid value {value!r}, expected {expected}")
+     for field, value, expected in _MISTYPED],
+    ids=["missing", "unknown", "list"] + [f"{field}={value!r}" for field, value, _ in _MISTYPED])
 def test_load_manifest_names_the_file_and_the_field(tmp_path, mini_tud_dir, edit, named):
     out = tmp_path / "mini.csv"
     assert _run_cli("compute", "--dataset", mini_tud_dir, "--name", "MINI20",
@@ -371,6 +410,18 @@ def test_load_manifest_names_the_file_and_the_field(tmp_path, mini_tud_dir, edit
     with pytest.raises(ValueError) as caught:
         load_manifest(path)
     assert str(caught.value) == f"manifest {path}: {named}"
+
+
+def test_load_manifest_takes_an_integer_for_a_float_field(tmp_path, mini_tud_dir):
+    out = tmp_path / "mini.csv"
+    assert _run_cli("compute", "--dataset", mini_tud_dir, "--name", "MINI20",
+                    "--out", str(out)) == 0
+    path = manifest_path_for(str(out))
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(raw | {"gamma": 1}, fh)
+    assert load_manifest(path).gamma == 1
 
 
 def test_manifest_keeps_integer_thresholds_exact(tmp_path):
@@ -404,7 +455,7 @@ def test_cli_threads_do_not_change_output(tmp_path, mini_tud_dir):
 
 
 def test_compute_and_gram_matrix_weigh_each_graph_once(tmp_path, mini_tud_dir, monkeypatch):
-    from wlfiltration import filtration, kernels
+    from wlfiltration import filtration
 
     passes = []
     original = filtration.dataset_weights
@@ -418,8 +469,7 @@ def test_compute_and_gram_matrix_weigh_each_graph_once(tmp_path, mini_tud_dir, m
     def alone(*args):
         raise AssertionError("a graph was weighed on its own")
 
-    for module in (filtration, kernels):
-        monkeypatch.setattr(module, "dataset_weights", counting)
+    monkeypatch.setattr(filtration, "dataset_weights", counting)
     # small graphs and lambda=3 are within the batched pass's bounds
     monkeypatch.setattr(filtration, "_walk_totals", alone)
     assert _run_cli(

@@ -18,7 +18,6 @@ from wlfiltration import (
     build_filtration,
     extract_all,
     fit_thresholds,
-    fit_thresholds_auto,
     gram_matrix,
     permute_graph,
     reweight,
@@ -232,9 +231,12 @@ def test_build_filtration_rejects_k_below_one_with_or_without_edges(k):
             build_filtration(ds, WeightFunctionSpec("degree"), k)
 
 
+# and walk_length, which would otherwise fail inside numpy's loops
 @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(2.0), "3"])
 def test_non_integer_k_and_h_are_rejected_by_name(value):
     ds = GraphDataset((LabeledGraph.build(3, [(0, 1)]),), (0,))
+    with pytest.raises(ValueError, match="walk_length must be >= 1 and an integer"):
+        WeightFunctionSpec("walks", walk_length=value)
     with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
         build_filtration(ds, WeightFunctionSpec("degree"), value)
     with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
@@ -294,7 +296,7 @@ def test_integer_thresholds_keep_exact_gaps():
     edges = [(0, 1), (2, 3), (4, 5)]
     a = LabeledGraph.build(6, edges, weights=[2**60 + 2, 2**60, 5])
     b = LabeledGraph.build(6, edges, weights=[2**60 + 1, 2**60 + 1, 5])
-    filt = fit_thresholds_auto([2**60, 2**60 + 1, 2**60 + 2, 5])
+    filt = fit_thresholds([2**60, 2**60 + 1, 2**60 + 2, 5], "auto")
     assert filt.gaps == (1, 1, 2**60 - 5)
     ds = GraphDataset((a, b), (0, 1))
     K = gram_matrix(ds, WeightFunctionSpec(), filt, KernelConfig(h=1)).values
