@@ -112,6 +112,12 @@ _MANIFEST_FIELDS = {
 
 def run_compute(args: argparse.Namespace) -> RunManifest:
     """Execute the full pipeline for parsed compute arguments."""
+    return _compute(args)
+
+
+def _compute(args: argparse.Namespace, thresholds: tuple | None = None) -> RunManifest:
+    """`run_compute`, which first raises ValueError, writing nothing, if
+    `thresholds` are given and the fitted thresholds differ from them."""
     started = time.perf_counter()
     dataset = load_tud_dataset(args.dataset, args.name)
     spec = WeightFunctionSpec(kind=args.weights, walk_length=args.walk_length)
@@ -124,6 +130,9 @@ def run_compute(args: argparse.Namespace) -> RunManifest:
     )
     matrix = gram_matrix(dataset, spec, args.k, config)
     filtration = matrix.filtration
+    if thresholds is not None and filtration.thresholds != thresholds:
+        raise ValueError(f"manifest field 'thresholds' records {list(thresholds)}, "
+                         f"but the run fits {list(filtration.thresholds)}")
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     write_gram(matrix, args.format, args.out)
     elapsed = time.perf_counter() - started
@@ -146,7 +155,8 @@ def replay(manifest_file: str) -> RunManifest:
     """Re-run a manifest; writes the Gram file to the recorded output path.
 
     Raises ValueError, naming the field, on a recorded value that `compute`
-    does not accept.
+    does not accept, or, before anything is written, if the run fits other
+    thresholds than the recorded ones.
     """
     m = load_manifest(manifest_file)
     args = argparse.Namespace()
@@ -156,7 +166,7 @@ def replay(manifest_file: str) -> RunManifest:
             setattr(args, arg, value if read is None else read(value))
         except (KeyError, TypeError, argparse.ArgumentTypeError):
             raise ValueError(f"manifest field {field!r} has invalid value {value!r}") from None
-    return run_compute(args)
+    return _compute(args, m.thresholds)
 
 
 def run_csl(args: argparse.Namespace) -> None:

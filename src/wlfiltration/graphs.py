@@ -191,9 +191,9 @@ def load_tud_dataset(directory: str, name: str) -> GraphDataset:
     becomes the edge weight). The two directed copies of an undirected edge
     are merged; vertices are renumbered from 0 within each graph.
 
-    Each file is parsed once, in bulk when its bytes fit the grammar of
-    `_bulk_ints`/`_bulk_floats` and by `_parse_lines` otherwise. The files
-    are then checked against each other as whole arrays. A fault is reported
+    Each file is parsed once, by `np.loadtxt` or, when its line numbers or
+    columns need it, by `_parse_lines` (see `_read_file`). The files are
+    then checked against each other as whole arrays. A fault is reported
     with its file and line. Of several, the one reported is the first met
     going through the files line by line in the order indicator, graph
     labels, node labels, edge attributes, `_A.txt`, where a file's line
@@ -289,15 +289,34 @@ class _Column:
 
 def _read_file(path: str, kind: str) -> _Column:
     """A file of `kind` 'int' (an integer a line), 'label' (an integer in the
-    first column), 'pair' (`u, v`) or 'float' (a number in the first column)."""
-    try:
-        if kind == "float":
-            values = np.array(_bulk_floats(path), dtype=np.float64)
+    first column), 'pair' (`u, v`) or 'float' (a number in the first column).
+
+    `np.loadtxt` reads the file. `_parse_lines` reads it instead when
+    `np.loadtxt` refuses it or warns, when it holds a lone CR or a blank line
+    (whose line numbers `np.loadtxt` would lose), or when it has more columns
+    than `kind` takes (so `_checked_weights` warns about extra attribute
+    columns).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    dtype = np.float64 if kind == "float" else np.int64
+    if not data:
+        return _Column(path, np.empty((0, 2) if kind == "pair" else 0, dtype), 0)
+    count = data.count(b"\n") + (not data.endswith(b"\n"))
+    if data.count(b"\r") == data.count(b"\r\n"):
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.24 reads "5.0" as the integer 5, with a warning
+                warnings.simplefilter("error")
+                values = np.loadtxt(path, dtype, delimiter=",", comments=None,
+                                    usecols=0 if kind == "label" else None, ndmin=2,
+                                    encoding="utf-8")
+        except (ValueError, Warning):  # a UnicodeDecodeError is a ValueError
+            pass
         else:
-            values = _bulk_ints(path, pairs=kind == "pair")
-    except _NotBulk:
-        return _parse_lines(path, kind)
-    return _Column(path, values, len(values))
+            if values.shape == (count, 2 if kind == "pair" else 1):
+                return _Column(path, values if kind == "pair" else values.ravel(), count)
+    return _parse_lines(path, kind)
 
 
 def _parse_lines(path: str, kind: str) -> _Column:
@@ -400,82 +419,6 @@ def _checked_ends(pairs: _Column, graph_of: np.ndarray) -> tuple[np.ndarray, np.
 def _pair_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """a * n + b for ids below n: int64 below 2**31 ids, exact Python ints above."""
     return (a if n < 2**31 else a.astype(object)) * n + b
-
-
-class _NotBulk(Exception):
-    """A file outside the bulk grammar."""
-
-
-# The bulk grammar. Files hold only ASCII, with LF or CRLF line ends, and
-# end in at most one newline. An integer file has one integer per line,
-# with an optional leading `-`; an edge file has `u, v` or `u,v` per line;
-# an attribute file has one number per line that `float()` reads. No line
-# is blank. `int()` and `float()` accept more (a lone CR, tabs, `+5`,
-# `1_000`, non-ASCII digits, extra columns); such files go to
-# `_parse_lines`. The checks are byte-array scans: a whole-file regex with
-# a repeated group would cost megabytes of match state on a large file.
-_DIGIT_0, _COMMA, _MINUS, _NEWLINE = b"0,-\n"
-_INT_BYTES = b"0123456789-\n"
-_PAIR_BYTES = b"0123456789, \n"
-_FLOAT_BYTES = b"0123456789.eE+-\n"
-_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
-
-
-def _read_grammar(path: str, allowed: bytes) -> bytes:
-    """A file's bytes without their final newline, if it holds only `allowed` bytes.
-
-    CRLF line ends count as LF; a lone CR stays and leaves the grammar.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r\n", b"\n")
-    if data.endswith(b"\n"):
-        data = data[:-1]
-    if data.translate(None, allowed):
-        raise _NotBulk
-    return data
-
-
-def _bulk_ints(path: str, pairs: bool) -> np.ndarray:
-    """The integers of a file in the bulk grammar, in order: one a line, or `u, v` pairs."""
-    data = _read_grammar(path, _PAIR_BYTES if pairs else _INT_BYTES)
-    if pairs:
-        data = data.replace(b", ", b",")
-    if not data:
-        return np.empty((0, 2) if pairs else 0, dtype=np.int64)
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if pairs:
-        # Digit runs separated by single bytes that go comma, newline, ...,
-        # comma (so no space is left): every line is `u,v`.
-        sep = np.flatnonzero(arr < _DIGIT_0)
-        marks = arr[sep]
-        if (len(sep) % 2 == 0 or sep[0] == 0 or sep[-1] == len(arr) - 1
-                or np.any(np.diff(sep) < 2) or np.any(marks[0::2] != _COMMA)
-                or np.any(marks[1::2] != _NEWLINE)):
-            raise _NotBulk
-        count = len(sep) + 1
-    else:
-        # Lines of digits; a minus starts a line and is followed by a digit.
-        minus = np.flatnonzero(arr == _MINUS)
-        if (data[0] == _NEWLINE or arr[-1] < _DIGIT_0 or b"\n\n" in data
-                or np.any(arr[minus + 1] < _DIGIT_0)
-                or np.any(arr[minus[minus > 0] - 1] != _NEWLINE)):
-            raise _NotBulk
-        count = data.count(b"\n") + 1
-    values = np.fromstring(data.translate(_NEWLINE_TO_COMMA), dtype=np.int64, sep=",")
-    # Below 10**18 in magnitude, every value is exactly what int() reads; a
-    # longer token may have been clamped to the int64 range.
-    if len(values) != count or not -10**18 < values.min() <= values.max() < 10**18:
-        raise _NotBulk
-    return values.reshape(-1, 2) if pairs else values
-
-
-def _bulk_floats(path: str) -> list[float]:
-    """`float()` of each line of a file in the bulk grammar."""
-    data = _read_grammar(path, _FLOAT_BYTES)
-    try:
-        return list(map(float, data.split(b"\n"))) if data else []
-    except ValueError:
-        raise _NotBulk from None
 
 
 def write_tud_dataset(dataset: GraphDataset, directory: str, name: str) -> None:

@@ -44,7 +44,8 @@ def test_mini_gram_bytes_are_golden(tmp_path, mini_tud_dir, run):
 
 
 def test_mini_gram_bytes_through_the_line_reader(tmp_path, mini_tud_dir, monkeypatch):
-    # tabs are outside the bulk grammar; CRLF line ends alone are not
+    # a blank line after each line sends every file to the line reader; tabs and
+    # CRLF line ends alone do not
     data = tmp_path / "crlf"
     data.mkdir()
     names = [f"MINI20_{key}.txt" for key in ("A", "graph_indicator", "graph_labels", "node_labels")]
@@ -53,7 +54,7 @@ def test_mini_gram_bytes_through_the_line_reader(tmp_path, mini_tud_dir, monkeyp
         with open(os.path.join(mini_tud_dir, file_name), encoding="utf-8", newline="") as fh:
             text = fh.read()
         assert "\r" not in text and "\t" not in text
-        text = text.replace(", ", ",\t").replace("\n", "\t\r\n")
+        text = text.replace(", ", ",\t").replace("\n", "\t\r\n\r\n")
         (data / file_name).write_bytes(text.encode())
     read = set()
     parse = graphs._parse_lines

@@ -355,7 +355,7 @@ _LOADER_CASES = [
     ("no final newline", lambda f: f.update((k, v.rstrip("\n")) for k, v in f.items()), True),
     ("comma without space", _edit_all(", ", ","), True),
     ("no edges", lambda f: f.update(A="", edge_attributes=""), True),
-    ("edgeless and empty files", lambda f: f.update(A="", edge_attributes="\n"), True),
+    ("edgeless and empty files", lambda f: f.update(A="", edge_attributes="\n"), False),
     ("negative class labels", _set("graph_labels", "-1\n1\n-1\n"), True),
     ("negative node label", _edit("node_labels", "7\n", "-7\n"), True),
     ("leading zeros", _edit("graph_labels", "0\n", "007\n"), True),
@@ -372,12 +372,17 @@ _LOADER_CASES = [
     ("directions weighted apart", _edit("edge_attributes", "0.5\n0.5\n", "0.5\n0.75\n"), True),
     ("one direction only", _edit("A", "2, 1\n", ""), True),
     ("crlf", _edit_all("\n", "\r\n"), True),
+    ("lone CR before the first line", _edit("A", "1, 2\n2, 1\n", "\r1, 2\n2, 2\n"), False),
+    ("lone CR before a CRLF", _edit("A", "1, 2\n2, 1\n", "1, 2\r\r\n2, 2\n"), False),
+    ("whitespace-only line", _edit("node_labels", "6\n", " \t\nq\n"), False),
+    ("form feed beside a number", _edit("graph_labels", "0\n", "\x0c0\n"), True),
+    ("unit separator beside a number", _edit("edge_attributes", "3.0\n", "\x1f3.0\n"), True),
     ("blank lines", _edit("graph_indicator", "1\n1\n", "1\n\n1\n"), False),
     ("blank final line", _edit("graph_labels", "1\n0\n1\n", "1\n0\n1\n\n"), False),
     ("leading blank line", _edit("A", "1, 2", "\n1, 2"), False),
-    ("tab", _edit("A", "1, 2", "1,\t2"), False),
-    ("trailing space", _edit("A", "1, 2", "1, 2 "), False),
-    ("plus sign", _edit("graph_labels", "0\n", "+5\n"), False),
+    ("tab", _edit("A", "1, 2", "1,\t2"), True),
+    ("trailing space", _edit("A", "1, 2", "1, 2 "), True),
+    ("plus sign", _edit("graph_labels", "0\n", "+5\n"), True),
     ("underscore", _edit("graph_labels", "0\n", "1_000\n"), False),
     ("non-ASCII digit", _edit("graph_labels", "0\n", "١\n"), False),
     ("space inside a number", _edit("A", "8, 9", "8, 9 9"), False),
@@ -386,17 +391,20 @@ _LOADER_CASES = [
     ("two commas, then none", _edit("A", "1, 2\n2, 1\n", "1, 2, 2\n1\n"), False),
     ("comma first", _edit("A", "1, 2", ", 2"), False),
     ("comma last", _edit("A", "1, 2", "1, "), False),
-    ("double space", _edit("A", "1, 2", "1,  2"), False),
-    ("negative vertex id", _edit("A", "1, 2", "-1, 2"), False),
+    ("double space", _edit("A", "1, 2", "1,  2"), True),
+    ("negative vertex id", _edit("A", "1, 2", "-1, 2"), True),
     ("zero vertex id", _edit("A", "1, 2", "0, 2"), True),
     ("vertex id above range", _edit("A", "1, 2", "1, 10"), True),
     ("vertex id of 2**63", _edit("A", "1, 2", "9223372036854775808, 2"), False),
     ("class label of 2**63", _edit("graph_labels", "0\n", "9223372036854775808\n"), False),
     ("node label of 2**64 + 1", _edit("node_labels", "7\n", "18446744073709551617\n"), False),
-    ("node label of -2**63", _edit("node_labels", "7\n", "-9223372036854775808\n"), False),
-    ("19 digits", _edit("graph_labels", "0\n", "1000000000000000000\n"), False),
+    ("node label of -2**63", _edit("node_labels", "7\n", "-9223372036854775808\n"), True),
+    ("19 digits", _edit("graph_labels", "0\n", "1000000000000000000\n"), True),
     ("minus inside a line", _edit("graph_labels", "0\n", "5-3\n"), False),
     ("lone minus", _edit("graph_labels", "0\n", "-\n"), False),
+    ("hash inside a line", _edit("graph_labels", "0\n", "0#1\n"), False),
+    ("nan in an integer file", _edit("node_labels", "7\n", "nan\n"), False),
+    ("float in an integer file", _edit("graph_labels", "0\n", "5.0\n"), False),
     ("parallel directed pair", _edit("A", "2, 1\n", "1, 2\n"), True),
     ("cross-graph edge", _edit("A", "4, 5", "3, 5"), True),
     ("self-loop", _edit("A", "1, 2", "2, 2"), True),
@@ -404,10 +412,10 @@ _LOADER_CASES = [
     ("indicator of zero", _edit("graph_indicator", "1\n", "0\n"), True),
     ("no graphs", _set("graph_labels", ""), True),
     ("node label count", _edit("node_labels", "7\n", ""), True),
-    ("two node label columns", _edit_all("\n5\n", "\n5, 1\n"), False),
+    ("two node label columns", _edit_all("\n5\n", "\n5, 1\n"), True),
     ("attribute count", _edit("edge_attributes", "7.0\n", ""), True),
-    ("NaN attribute", _edit("edge_attributes", "3.0\n3.0", "nan\nnan"), False),
-    ("inf attribute", _edit("edge_attributes", "3.0\n3.0", "inf\ninf"), False),
+    ("NaN attribute", _edit("edge_attributes", "3.0\n3.0", "nan\nnan"), True),
+    ("inf attribute", _edit("edge_attributes", "3.0\n3.0", "inf\ninf"), True),
     ("overflowing attribute", _edit("edge_attributes", "3.0\n3.0", "1e400\n1e400"), True),
     ("negative attribute", _edit("edge_attributes", "3.0\n3.0", "-3.0\n-3.0"), True),
     ("hex attribute", _edit("edge_attributes", "3.0", "0x1p3"), False),
@@ -561,7 +569,7 @@ def test_pair_keys_stay_exact_past_int64():
     assert graphs._pair_keys(a, b, 4).dtype == np.int64
 
 
-_FUZZ_ALPHABET = "0123456789,- \n\r\t+._eE١"
+_FUZZ_ALPHABET = "0123456789,- \n\r\t\x0b\x0c#+._eEinfa١"
 
 
 @settings(max_examples=300, deadline=None)
@@ -591,6 +599,6 @@ def test_bulk_float_parse_is_float():
         path = os.path.join(directory, "X_edge_attributes.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(texts) + "\n")
-        got = graphs._bulk_floats(path)
+        got = graphs._read_file(path, "float").checked().tolist()
     assert got == [float(t) for t in texts]
     assert all(type(v) is float for v in got)

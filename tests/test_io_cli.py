@@ -379,6 +379,25 @@ def test_replay_rejects_a_value_compute_does_not_record(tmp_path, mini_tud_dir, 
     assert not out.exists()
 
 
+def test_replay_rejects_thresholds_the_run_does_not_fit(tmp_path, mini_tud_dir):
+    out = tmp_path / "mini.csv"
+    assert _run_cli("compute", "--dataset", mini_tud_dir, "--name", "MINI20", "--weights",
+                    "degree", "--k", "auto", "--out", str(out)) == 0
+    manifest = tmp_path / "mini.csv.manifest.json"
+    assert str(manifest) == manifest_path_for(str(out))
+    raw = json.loads(manifest.read_text(encoding="utf-8"))
+    fitted = raw["thresholds"]
+    assert fitted != [99, 1]
+    manifest.write_text(json.dumps(raw | {"thresholds": [99, 1]}), encoding="utf-8")
+    before = out.read_bytes(), manifest.read_bytes()
+    with pytest.raises(ValueError) as caught:
+        replay(str(manifest))
+    assert str(caught.value) == (f"manifest field 'thresholds' records [99, 1], "
+                                 f"but the run fits {fitted}")
+    # neither the Gram file nor the manifest was written
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+
+
 # A string "false" is truthy, and "1.0" would reach math.isfinite as a str.
 _MISTYPED = [
     ("normalize", "false", "bool"), ("normalize", 0, "bool"), ("gamma", "1.0", "float"),
