@@ -40,8 +40,10 @@ class FeatureCounts:
 class LabelInterner:
     """Deprecated placeholder: `extract_all` numbers the labels itself.
 
-    Callers written for version 0.7.0 pass one to `extract_all`, which
-    ignores it; it holds nothing.
+    It holds nothing, and `extract_all` ignores it. It stays only because
+    the benchmark's `direct_layers` (`perfbench/worker.py`) passes one, with
+    `threads=2`, to time its `wl.extract_t2_s` metric, which
+    `tests/test_perfbench_smoke.py` requires.
     """
 
 
@@ -70,9 +72,10 @@ def extract_all(
     level has the keys of the level below it, so skipping it changes no id.
     The refined copies of all graphs are refined together as one disjoint
     union with array passes (see `_refine`), so no Python work is done per
-    label. `graphs` is a dataset or a sequence of graphs; `interner` and
-    `threads` are accepted for callers written for version 0.7.0 and
-    ignored; the result never depended on them.
+    label. `graphs` is a dataset or a sequence of graphs. `interner` and
+    `threads` are ignored, and the result never depended on them; they stay
+    only because the benchmark's `direct_layers` (`perfbench/worker.py`)
+    passes both to time `wl.extract_t2_s` (see `LabelInterner`).
     """
     if not isinstance(h, numbers.Integral) or h < 0:
         raise ValueError(f"h must be >= 0 and an integer, got {h!r}")
@@ -192,16 +195,19 @@ def _classes(arc: np.ndarray, labels: np.ndarray) -> list[int]:
     (degree, previous label, sorted neighbour labels), which depends only on
     which keys occur, not on where.
 
-    One round sorts the arcs by (source, neighbour label) and builds each
-    vertex's signature one neighbour column at a time as the 1-D `np.unique`
-    inverse of sig * width + label; each column's classes get fresh numbers,
-    so vertices of different degree never share one. The classes are then
-    exactly the distinct keys (label, sorted neighbour labels) of the round.
-    Each column ranks its keys in sorted order, and a vertex that ends at
-    column j sorts below every vertex that reaches column j + 1, so the final
-    signatures ascend in key order. They are ints below the previous width
-    plus the number of arcs, so the classes get dense ids from a
-    present-mask and its cumsum, with no sort.
+    One round sorts the arcs by (source, neighbour label), so that each
+    vertex's neighbour labels sit in order from its first arc. The vertices
+    are ordered once by descending degree; those with a j-th neighbour then
+    form a prefix of that order, and the j-th neighbour label of each sits j
+    arcs after its first. Each vertex's signature is built one neighbour
+    column at a time as the 1-D `np.unique` inverse of sig * width + label;
+    each column's classes get fresh numbers, so vertices of different degree
+    never share one. The classes are then exactly the distinct keys (label,
+    sorted neighbour labels) of the round. Each column ranks its keys in
+    sorted order, and a vertex that ends at column j sorts below every vertex
+    that reaches column j + 1, so the final signatures ascend in key order.
+    They are ints below the previous width plus the number of arcs, so the
+    classes get dense ids from a present-mask and its cumsum, with no sort.
     """
     total = labels.shape[1]
     # sorted by (source, target); only the targets and the degrees are
@@ -209,36 +215,31 @@ def _classes(arc: np.ndarray, labels: np.ndarray) -> list[int]:
     arc.sort()
     degree = np.bincount(arc // total, minlength=total)
     dst = np.remainder(arc, total, out=arc)
-    # column j holds each vertex's j-th arc, ordered by vertex
-    rank = np.arange(len(dst))
-    rank -= np.repeat(np.cumsum(degree) - degree, degree)
-    column = np.argsort(rank, kind="stable")
-    column_end = np.cumsum(np.bincount(rank)).tolist()
-    del rank
+    # the vertices by descending degree: by_degree[:reach[j]] are those of
+    # degree > j, and start[i] is the first arc of by_degree[i]
+    by_degree = np.argsort(-degree, kind="stable")
+    start = (np.cumsum(degree) - degree)[by_degree]
+    reach = np.cumsum(np.bincount(degree)[::-1])[::-1][1:].tolist()
 
     num_classes = []
     for r in range(1, len(labels)):
         cur = labels[r - 1]
         width = int(cur.max()) + 1
         # source * width + neighbour label per arc, sorted: each vertex's
-        # neighbour labels in order; then laid out by column and split
-        by_column = np.repeat(np.arange(total) * width, degree)
-        by_column += cur[dst]
-        by_column.sort()
-        by_column = by_column[column]
-        column_vertex = by_column // width
-        by_column %= width
+        # neighbour labels in order from its first arc
+        nbr = np.repeat(np.arange(total) * width, degree)
+        nbr += cur[dst]
+        nbr.sort()
+        nbr %= width
         sig = cur.copy()
         next_sig = width
-        col_lo = 0
-        for col_hi in column_end:
-            vs = column_vertex[col_lo:col_hi]
-            values, inverse = np.unique(sig[vs] * width + by_column[col_lo:col_hi],
+        for j, count in enumerate(reach):
+            vs = by_degree[:count]
+            values, inverse = np.unique(sig[vs] * width + nbr[start[:count] + j],
                                         return_inverse=True)
             sig[vs] = inverse + next_sig
             next_sig += len(values)
-            col_lo = col_hi
-        del by_column, column_vertex
+        del nbr
         # sig < next_sig, so a present-mask numbers the classes densely, in
         # ascending sig order as `np.unique` would
         present = np.zeros(next_sig, dtype=bool)
