@@ -92,15 +92,21 @@ def test_with_weights_checks_the_new_weights():
 
 def test_adjacency_sorted_and_degree_sum():
     rng = random.Random(1)
-    # (graph, its degrees, or None for a random graph)
-    cases = [(random_graph(rng), None) for _ in range(30)]
-    cases += [(LabeledGraph.build(1, []), [0]), (path3(), [1, 2, 1]), (csl_graph(41, 2), [4] * 41)]
-    for g, degrees in cases:
+    for _ in range(30):
+        g = random_graph(rng)
         for ns in g.adjacency:
             assert list(ns) == sorted(ns)
         assert sum(degree(g, v) for v in range(g.n)) == 2 * g.edge_count
-        if degrees is not None:
-            assert [degree(g, v) for v in range(g.n)] == degrees
+
+
+def test_vertex_degree_examples():
+    isolated = LabeledGraph.build(1, [])
+    assert degree(isolated, 0) == 0
+    assert degree(path3(), 1) == 2
+    g = csl_graph(41, 2)
+    assert all(degree(g, v) == 4 for v in range(41))
+    with pytest.raises(ValueError, match="out of range"):
+        degree(isolated, 1)
 
 
 def test_permute_identity_and_reversal():
