@@ -110,14 +110,10 @@ _MANIFEST_FIELDS = {
 }
 
 
-def run_compute(args: argparse.Namespace) -> RunManifest:
-    """Execute the full pipeline for parsed compute arguments."""
-    return _compute(args)
-
-
-def _compute(args: argparse.Namespace, thresholds: tuple | None = None) -> RunManifest:
-    """`run_compute`, which first raises ValueError, writing nothing, if
-    `thresholds` are given and the fitted thresholds differ from them."""
+def run_compute(args: argparse.Namespace, thresholds: tuple | None = None) -> RunManifest:
+    """Execute the full pipeline for parsed compute arguments. If
+    `thresholds` are given and the fitted thresholds differ from them, raise
+    ValueError first, writing nothing."""
     started = time.perf_counter()
     dataset = load_tud_dataset(args.dataset, args.name)
     spec = WeightFunctionSpec(kind=args.weights, walk_length=args.walk_length)
@@ -166,7 +162,7 @@ def replay(manifest_file: str) -> RunManifest:
             setattr(args, arg, value if read is None else read(value))
         except (KeyError, TypeError, argparse.ArgumentTypeError):
             raise ValueError(f"manifest field {field!r} has invalid value {value!r}") from None
-    return _compute(args, m.thresholds)
+    return run_compute(args, m.thresholds)
 
 
 def run_csl(args: argparse.Namespace) -> None:

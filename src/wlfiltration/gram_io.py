@@ -12,56 +12,8 @@ from .kernels import GramMatrix
 
 FORMATS = ("csv", "libsvm")
 
-
-def _fmt(value: float) -> str:
-    """17 significant digits, zero-padded: parses back to the identical float."""
-    return np.format_float_positional(
-        value, precision=17, unique=False, fractional=False, trim="k"
-    )
-
-
 # Distinct values formatted per '%' call; bounds the chunk's temporaries.
 _FORMAT_CHUNK = 1 << 14
-
-
-def _format_values(values: np.ndarray) -> np.ndarray:
-    """`_fmt` of each float64 value, as an object array of strings.
-
-    A value with 1e-290 <= |x| < 1e15 and e = floor(log10|x|) gets
-    '%.*f' % (16 - e, x): 17 significant digits, correctly rounded, ties to
-    even, as Dragon4 gives them, formatted with one C-level '%' call per
-    chunk. Dragon4 stops early when those digits are exact or rounding up
-    carried into trailing zeros, and for |x| < 1 then pads to 16 fractional
-    digits instead of 17 significant ones; so such a string that ends in 0
-    and whose decimal value is >= |x| is stripped and padded. Zeros, NaN,
-    infinities, the magnitudes outside that range and the values near a
-    power of ten, where the log may be off by one, go to `_fmt`.
-    """
-    text = np.empty(len(values), dtype=object)
-    for start in range(0, len(values), _FORMAT_CHUNK):
-        x = values[start:start + _FORMAT_CHUNK]
-        magnitude = np.abs(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log = np.log10(magnitude)
-            fast = ((magnitude >= 1e-290) & (magnitude < 1e15)
-                    & (np.abs(log - np.rint(log)) > 1e-12))
-        floats = x[fast].tolist()
-        places = (16 - np.floor(log[fast])).astype(np.int64).tolist()
-        args: list = [None] * (2 * len(floats))
-        args[0::2] = places
-        args[1::2] = floats
-        chunk = ("%.*f\n" * len(floats) % tuple(args)).split("\n")
-        chunk.pop()
-        for i in [i for i, s in enumerate(chunk) if s[-1] == "0"]:
-            if -1.0 < floats[i] < 1.0:
-                num, den = abs(floats[i]).as_integer_ratio()
-                head, frac = chunk[i].split(".")
-                if int(frac) * den >= num * 10 ** places[i]:
-                    chunk[i] = f"{head}.{frac.rstrip('0'):0<16}"
-        out = text[start:start + len(x)]
-        out[fast] = chunk
-        out[~fast] = [_fmt(value) for value in x[~fast]]
-    return text
 
 
 def write_gram(matrix: GramMatrix, fmt: str, path: str) -> None:
@@ -71,15 +23,14 @@ def write_gram(matrix: GramMatrix, fmt: str, path: str) -> None:
     convention `<class> 0:<row> 1:K(i,1) ... n:K(i,n)` with 1-based indices,
     ready for an SVM with a precomputed-kernel interface.
 
-    Every value is written as `_fmt` writes it: 17 significant digits in
-    positional form, except that a value below 1 in magnitude whose 17
-    digits are exact, or rounded up into trailing zeros, is padded to 16
-    fractional digits (0.25 -> 0.2500000000000000, but 0.01 ->
-    0.010000000000000000). Each distinct value is formatted once, keyed by
-    its bit pattern (so -0.0 and 0.0 stay apart), in chunks with one C-level
-    '%.*f' call each (`_format_values`); each row is built with one join and
-    written on its own. The values must be n x n for n class labels; this
-    is checked before the file is opened.
+    Every value is written as '%.17g' writes it: 17 significant digits,
+    correctly rounded, so that it parses back to the identical float, with
+    no trailing zeros, and in exponent form below 1e-4 and from 1e17 up
+    (1, -0, 0.25, 1.0000000000000001e-05, nan, inf). Each distinct value is
+    formatted once, keyed by its bit pattern (so -0.0 and 0.0 stay apart),
+    in chunks with one C-level '%' call each; each row is built with one
+    join and written on its own. The values must be n x n for n class
+    labels; this is checked before the file is opened.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
@@ -91,8 +42,12 @@ def write_gram(matrix: GramMatrix, fmt: str, path: str) -> None:
     bits, which = np.unique(values.view(np.uint64), return_inverse=True)
     # the n x n index is held while the strings are made: narrow it first
     which = which.reshape(n, n).astype(np.min_scalar_type(len(bits)))
-    text = _format_values(bits.view(np.float64))
-    del bits
+    distinct = bits.view(np.float64)
+    text = np.empty(len(bits), dtype=object)
+    for lo in range(0, len(bits), _FORMAT_CHUNK):
+        part = tuple(distinct[lo:lo + _FORMAT_CHUNK].tolist())
+        text[lo:lo + len(part)] = ("%.17g\n" * len(part) % part).split("\n")[:-1]
+    del bits, distinct
     if fmt == "libsvm":
         # <class> 0:<row>, then " j:" before cell j, then the newline
         row = np.empty(2 * n + 2, dtype=object)

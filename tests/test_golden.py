@@ -8,6 +8,11 @@ changes them. The two linear digests were recorded again with version
 by first occurrence in graph order, and each linear entry sums its feature
 terms in id order, so 20 of the 400 entries of the MINI20 linear Gram moved
 by at most 2 ulp. The product and CSL digests did not move.
+
+All four digests were recorded again with version 0.20.0, when the writer
+moved from numpy's zero-padded positional digits to '%.17g' (no trailing
+zeros, exponent form below 1e-4 and from 1e17 up). Only the text moved: the
+0.19.0 and 0.20.0 files of every golden run parse to bit-identical matrices.
 """
 
 import hashlib
@@ -23,13 +28,13 @@ from wlfiltration.cli import main
 MINI = ["--name", "MINI20", "--weights", "degree", "--k", "4", "--h", "2"]
 GOLDEN = {
     "linear-csv": (MINI + ["--format", "csv"],
-                   "f9f68a7158a73153e602ff42efeedc582851ec665b91c388fe5a07a48cb4c642"),
+                   "3a07a23f2dc31c19c8e901898443c956b84e2171e282ef52b44d737fd4411805"),
     "linear-libsvm": (MINI + ["--format", "libsvm"],
-                      "5f5a3adaecde95f4b5180ec54eb7cb0f9615b0fa84a7d48beb95ea82ec4896db"),
+                      "4da91511690b1da9a7a63dcd1001e99bb85c5fed57f71a624f591e1f820e2243"),
     "product-normalize": (MINI + ["--variant", "product", "--normalize"],
-                          "871f4060863d950e16d369b3ffd4327a90a3be0335b82de6ce1bbae5330ad8a8"),
+                          "41e2db2d2316f84f23c0ed9fe437d161514dfa8d9c3df077ef2236a65ae26ffe"),
 }
-CSL20_WALKS = "227cf5906dfe953c213007bebd30852d856118d07ee61d9abc1170005eeee233"
+CSL20_WALKS = "6afaa27e61df666cbe581e6062cd8089d9ba4f5ca5ae7b15c86eafd48f60043e"
 
 
 def _digest(argv, out) -> str:
