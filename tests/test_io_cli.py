@@ -121,6 +121,34 @@ FORMAT_EDGE_CASES = [
 ]
 
 
+def _bulk_formatted(directory, values: np.ndarray) -> tuple[list[str], list[str]]:
+    """The csv cells `write_gram` writes for `values`, padded by repetition
+    to a square matrix, and the '%.17g' text of each of those cells."""
+    n = math.isqrt(len(values) - 1) + 1
+    square = np.resize(values, n * n).reshape(n, n)
+    path = directory / "gram.csv"
+    write_gram(GramMatrix(square, (0,) * n, (1.0,)), "csv", str(path))
+    cells = path.read_text(encoding="utf-8").replace("\n", ",").split(",")[:-1]
+    return cells, ["%.17g" % x for x in square.flat]
+
+
+def test_bulk_format_matches_fmt_on_edge_cases(tmp_path):
+    # the chunked one-'%'-per-chunk text equals formatting each value alone
+    cells, want = _bulk_formatted(tmp_path, np.array(FORMAT_EDGE_CASES, dtype=np.float64))
+    assert cells == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(0, 2 ** 64 - 1),  # any float64 bit pattern
+    st.floats().map(lambda x: int(np.float64(x).view(np.uint64))),
+), min_size=1, max_size=60))
+def test_bulk_format_matches_fmt_on_bit_patterns(tmp_path_factory, bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    cells, want = _bulk_formatted(tmp_path_factory.mktemp("gram"), values)
+    assert cells == want
+
+
 def _parse_gram(path, fmt: str) -> np.ndarray:
     if fmt == "csv":
         return read_gram_csv(str(path))
