@@ -56,6 +56,10 @@ class GramMatrix:
 # stay near this many doubles however many graphs share a feature.
 _CHUNK_ENTRIES = 1 << 15
 
+# Odd multipliers of the feature-table hash: one folds a row's (feature,
+# counts) into a word, the other mixes that word before the per-graph sum.
+_HASH_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], dtype=np.uint64)
+
 
 def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelConfig) -> np.ndarray:
     """Unnormalized kernel matrix from the dataset's feature counts.
@@ -75,6 +79,14 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
     once at the end. The pairs are visited in bounded chunks of consecutive
     rows, and `np.add.at` adds in index order, so every entry sums its terms
     in ascending feature id, however the rows are chunked.
+
+    Graphs with equal feature tables (`_first_equal_tables`) have equal
+    rows: against a third graph their terms are the same values in the same
+    order, and against each other every term is m * m * exp(-gamma * 0),
+    added in the diagonal's order (product: sum W1 = 0 and shared mass =
+    diagonal, so exp(0) = 1). So only the first graph of each group pairs
+    its rows, and the others copy its column and row at the end; the bytes
+    are those of pairing every row.
     """
     if store.num_levels != len(filtration):
         raise ValueError(
@@ -85,18 +97,42 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
     product = config.variant == "product"
     # linear: the kernel; product: the shared mass <m_i, m_j>, exact
     acc = np.zeros((n, n), dtype=np.int64 if product else np.float64)
-    mass = store.counts.sum(axis=1)
+    # level totals one column at a time: a sum along the short row axis
+    # pays per row
+    counts = store.counts
+    mass = counts[:, 0].copy()
+    for j in range(1, counts.shape[1]):
+        mass += counts[:, j]
     # cast first: `ufunc.at` has a fast loop only when the value dtype
     # matches the target's; the mixed add cast each value the same way
     diag = np.zeros(n, dtype=acc.dtype)
     np.add.at(diag, store.graph, (mass * mass).astype(acc.dtype, copy=False))
 
-    # the rows of features held by two or more graphs
+    # the rows of features held by two or more graphs; of a group of equal
+    # tables only the first graph's rows count
     block_start = np.flatnonzero(np.diff(store.feature, prepend=-1))
     size = np.diff(block_start, append=len(store.feature))
-    shared = np.repeat(size > 1, size)
+    first = _first_equal_tables(store, diag)
+    if first is None:
+        shared = np.repeat(size > 1, size)
+    else:
+        # a feature keeps its holders less the dropped rows in its block
+        dropped = (first != np.arange(n))[store.graph]
+        block = np.searchsorted(block_start, np.flatnonzero(dropped), side="right") - 1
+        held = size - np.bincount(block, minlength=len(size))
+        shared = np.repeat(held > 1, size) & ~dropped
+        size = held
+        del dropped, block, held
+    shared = np.flatnonzero(shared)
     graph, mass = store.graph[shared], mass[shared]
-    cdf = np.cumsum(store.counts[shared, :-1], axis=1) / mass[:, None]
+    # the CDF columns of the shared rows: their running level totals
+    cdf = np.empty((len(shared), counts.shape[1] - 1))
+    total = np.take(counts[:, 0], shared)
+    for j in range(1, counts.shape[1]):
+        cdf[:, j - 1] = total
+        total += np.take(counts[:, j], shared)
+    del shared, total
+    cdf /= mass[:, None]
     cdf *= np.asarray(filtration.gaps, dtype=np.float64)
     w1_sum = np.zeros((n, n)) if product else None
     # 1-D views: np.add.at is far faster on flat indices than on index pairs
@@ -134,7 +170,71 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
         acc = np.exp(-config.gamma * w1_sum
                      - config.beta * (diag[:, None] + diag[None, :] - 2 * acc))
     _mirror_upper(acc)
+    if first is not None:
+        dup = np.flatnonzero(first != np.arange(n))
+        acc[:, dup] = acc[:, first[dup]]
+        acc[dup] = acc[first[dup]]
     return acc
+
+
+def _first_equal_tables(store: FeatureCounts, diag: np.ndarray) -> np.ndarray | None:
+    """first[g]: the lowest graph id whose feature table equals graph g's.
+
+    None when every table differs. Equal tables have equal row counts and
+    equal `diag` (sum of squared masses, added in the same order), so only
+    graphs whose (rows, diag) key collides are candidates. Their (feature,
+    counts) rows, in (graph, feature) order, are hashed to uint64 with
+    wrapping array arithmetic and summed per graph; a graph joins the lowest
+    id of its (rows, diag, hash) key once each of its rows equals that
+    graph's, element by element, so a hash collision leaves it on its own.
+    """
+    n = store.num_graphs
+    rows = np.bincount(store.graph, minlength=n)
+    order = np.lexsort((diag, rows))
+    r, d = rows[order], diag[order]
+    same = (r[1:] == r[:-1]) & (d[1:] == d[:-1]) & (r[1:] > 0)
+    if not same.any():
+        return None
+    cand = np.zeros(n, dtype=bool)
+    cand[order[1:][same]] = cand[order[:-1][same]] = True
+    cands = np.flatnonzero(cand)
+    length = rows[cands]
+    start = np.cumsum(length) - length
+    # the candidates' rows by graph, then by feature (a stable sort)
+    crow = np.flatnonzero(cand[store.graph])
+    crow = crow[np.argsort(store.graph[crow], kind="stable")]
+    table = np.column_stack((store.feature[crow], store.counts[crow]))
+
+    mult, mix = _HASH_MULTIPLIERS
+    words = table.view(np.uint64)
+    with np.errstate(over="ignore"):
+        h = words[:, 0].copy()
+        for j in range(1, words.shape[1]):
+            h *= mult
+            h += words[:, j]
+        h ^= h >> np.uint64(32)
+        h *= mix
+        h ^= h >> np.uint64(29)
+        keys = (np.add.reduceat(h, start), diag[cands], length)
+
+    # each candidate's key-mate of lowest id; lexsort is stable
+    by_key = np.lexsort(keys)
+    new = np.zeros(len(cands), dtype=bool)
+    for key in keys:
+        new[1:] |= key[by_key[1:]] != key[by_key[:-1]]
+    new[0] = True
+    rep = np.empty_like(by_key)
+    rep[by_key] = by_key[np.maximum.accumulate(np.where(new, np.arange(len(cands)), 0))]
+    # each row against the row at the same place in that graph's table
+    owner = np.repeat(np.arange(len(cands)), length)
+    other = np.arange(len(crow)) + (start[rep] - start)[owner]
+    equal = (table == table[other]).all(axis=1)
+    join = np.logical_and.reduceat(equal, start) & (rep != np.arange(len(cands)))
+    if not join.any():
+        return None
+    first = np.arange(n)
+    first[cands[join]] = cands[rep[join]]
+    return first
 
 
 def _mirror_upper(a: np.ndarray) -> None:

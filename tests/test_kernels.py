@@ -15,9 +15,11 @@ from wlfiltration import (
     KernelConfig,
     LabeledGraph,
     WeightFunctionSpec,
+    FeatureCounts,
     build_filtration,
     extract_all,
     fit_thresholds,
+    generate_csl_benchmark,
     gram_matrix,
     permute_graph,
     reweight,
@@ -434,6 +436,105 @@ def test_assemble_gram_bytes_match_reference(variant, k, h, shape, seed):
     expected = assemble_gram_reference(store, line, cfg)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def squared_mass_diagonal(store):
+    """Each graph's sum of squared row masses, the key `_first_equal_tables` reads."""
+    mass = store.counts.sum(axis=1)
+    diag = np.zeros(store.num_graphs, dtype=np.int64)
+    np.add.at(diag, store.graph, mass * mass)
+    return diag
+
+
+def planted_dataset(seed, copies):
+    """`weighted_dataset(seed, count=5)` with `copies` vertex-permuted copies of
+    its graphs inserted at random places, and each graph's original index."""
+    rng = random.Random(seed)
+    base = weighted_dataset(seed, count=5).graphs
+    graphs, origin = list(base), list(range(len(base)))
+    for _ in range(copies):
+        tag = rng.randrange(len(base))
+        perm = list(range(base[tag].n))
+        rng.shuffle(perm)
+        at = rng.randrange(len(graphs) + 1)
+        graphs.insert(at, permute_graph(base[tag], perm))
+        origin.insert(at, tag)
+    return GraphDataset(tuple(graphs), tuple(origin)), origin
+
+
+@pytest.mark.parametrize("variant", ["linear_combination", "product"])
+@pytest.mark.parametrize("k", [1, 2, 6])
+@pytest.mark.parametrize("h", [0, 2])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), copies=st.integers(1, 4))
+def test_planted_copies_assemble_byte_for_byte(variant, k, h, seed, copies):
+    ds, origin = planted_dataset(seed, copies)
+    spec = WeightFunctionSpec("native")
+    filt = build_filtration(ds, spec, k)
+    store = extract_all(ds, filt, h)
+    first = kernels._first_equal_tables(store, squared_mass_diagonal(store))
+    # each graph maps to the lowest id of its group, which maps to itself
+    assert np.all(first <= np.arange(len(ds))) and np.array_equal(first[first], first)
+    # every copy sits in the group of its original; WL may add other graphs
+    for tag in set(origin):
+        at = [p for p, t in enumerate(origin) if t == tag]
+        assert len(set(first[at].tolist())) == 1
+    assert np.count_nonzero(first != np.arange(len(ds))) >= copies
+
+    cfg = KernelConfig(h=h, gamma=0.8, beta=0.05, variant=variant)
+    expected = assemble_gram_reference(store, filt, cfg)
+    assert kernels.assemble_gram(store, filt, cfg).tobytes() == expected.tobytes()
+    scale = 1.0 / np.sqrt(np.diag(expected))
+    cosine = expected * np.outer(scale, scale)
+    np.fill_diagonal(cosine, 1.0)
+    for normalize, want in ((False, expected), (True, cosine)):
+        cfg = KernelConfig(h=h, gamma=0.8, beta=0.05, variant=variant, normalize=normalize)
+        assert gram_matrix(ds, spec, filt, cfg).values.tobytes() == want.tobytes()
+
+
+def near_miss_store():
+    """Five graphs of two rows each whose squared masses all sum to 8: graphs 0
+    and 2 hold one table, 1 and 4 another, and 3 a third."""
+    tables = [{0: (2, 0), 1: (1, 1)}, {0: (1, 1), 1: (2, 0)}, {0: (2, 0), 1: (1, 1)},
+              {0: (2, 0), 2: (1, 1)}, {0: (1, 1), 1: (2, 0)}]
+    rows = sorted((f, g, c) for g, t in enumerate(tables) for f, c in t.items())
+    graph, feature, counts = zip(*((g, f, c) for f, g, c in rows))
+    store = FeatureCounts(np.array(graph), np.array(feature), np.array(counts),
+                          np.zeros(3, dtype=np.int64), len(tables))
+    return store, Filtration((1.0, 0.0))
+
+
+@pytest.mark.parametrize("variant", ["linear_combination", "product"])
+def test_equal_tables_survive_hash_collisions(monkeypatch, variant):
+    store, line = near_miss_store()
+    diag = squared_mass_diagonal(store)
+    assert np.all(diag == 8) and np.all(np.bincount(store.graph) == 2)
+    assert kernels._first_equal_tables(store, diag).tolist() == [0, 1, 0, 3, 1]
+    planted, _ = planted_dataset(5, 4)
+    filt = build_filtration(planted, WeightFunctionSpec("native"), 6)
+    cfg = KernelConfig(h=2, gamma=0.8, beta=0.05, variant=variant)
+    cases = [(store, line), (extract_all(planted, filt, 2), filt)]
+    expected = [assemble_gram_reference(s, f, cfg).tobytes() for s, f in cases]
+
+    # every candidate then hashes to 0: only the element-wise check tells
+    # tables apart, and graph 4 is compared with graph 0 alone
+    monkeypatch.setattr(kernels, "_HASH_MULTIPLIERS", np.zeros(2, dtype=np.uint64))
+    assert kernels._first_equal_tables(store, diag).tolist() == [0, 1, 0, 3, 4]
+    for (s, f), want in zip(cases, expected):
+        assert kernels.assemble_gram(s, f, cfg).tobytes() == want
+
+
+def test_csl_100_has_ten_feature_tables():
+    ds = generate_csl_benchmark(copies=10, seed=0)
+    weighted = reweight(ds, WeightFunctionSpec("walks", walk_length=7))
+    filt = build_filtration(weighted, WeightFunctionSpec(), "auto")
+    store = extract_all(weighted, filt, 2)
+    first = kernels._first_equal_tables(store, squared_mass_diagonal(store))
+    # the ten copies of a skip class are one table, the classes ten tables
+    assert first.tolist() == [g - g % 10 for g in range(100)]
+    cfg = KernelConfig(h=2)
+    expected = assemble_gram_reference(store, filt, cfg)
+    assert kernels.assemble_gram(store, filt, cfg).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["linear_combination", "product"])
