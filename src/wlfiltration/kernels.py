@@ -56,10 +56,6 @@ class GramMatrix:
 # stay near this many doubles however many graphs share a feature.
 _CHUNK_ENTRIES = 1 << 15
 
-# Odd multipliers of the feature-table hash: one folds a row's (feature,
-# counts) into a word, the other mixes that word before the per-graph sum.
-_HASH_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9], dtype=np.uint64)
-
 
 def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelConfig) -> np.ndarray:
     """Unnormalized kernel matrix from the dataset's feature counts.
@@ -97,42 +93,26 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
     product = config.variant == "product"
     # linear: the kernel; product: the shared mass <m_i, m_j>, exact
     acc = np.zeros((n, n), dtype=np.int64 if product else np.float64)
-    # level totals one column at a time: a sum along the short row axis
-    # pays per row
-    counts = store.counts
-    mass = counts[:, 0].copy()
-    for j in range(1, counts.shape[1]):
-        mass += counts[:, j]
+    mass = store.counts.sum(axis=1)
     # cast first: `ufunc.at` has a fast loop only when the value dtype
     # matches the target's; the mixed add cast each value the same way
     diag = np.zeros(n, dtype=acc.dtype)
     np.add.at(diag, store.graph, (mass * mass).astype(acc.dtype, copy=False))
 
     # the rows of features held by two or more graphs; of a group of equal
-    # tables only the first graph's rows count
+    # tables only the first graph's rows count, so a feature keeps its
+    # holders less the dropped rows in its block
     block_start = np.flatnonzero(np.diff(store.feature, prepend=-1))
     size = np.diff(block_start, append=len(store.feature))
     first = _first_equal_tables(store, diag)
-    if first is None:
-        shared = np.repeat(size > 1, size)
-    else:
-        # a feature keeps its holders less the dropped rows in its block
-        dropped = (first != np.arange(n))[store.graph]
-        block = np.searchsorted(block_start, np.flatnonzero(dropped), side="right") - 1
-        held = size - np.bincount(block, minlength=len(size))
-        shared = np.repeat(held > 1, size) & ~dropped
-        size = held
-        del dropped, block, held
-    shared = np.flatnonzero(shared)
+    dropped = (first != np.arange(n))[store.graph]
+    block = np.searchsorted(block_start, np.flatnonzero(dropped), side="right") - 1
+    held = size - np.bincount(block, minlength=len(size))
+    shared = np.flatnonzero(np.repeat(held > 1, size) & ~dropped)
+    size = held
+    del dropped, block, held
     graph, mass = store.graph[shared], mass[shared]
-    # the CDF columns of the shared rows: their running level totals
-    cdf = np.empty((len(shared), counts.shape[1] - 1))
-    total = np.take(counts[:, 0], shared)
-    for j in range(1, counts.shape[1]):
-        cdf[:, j - 1] = total
-        total += np.take(counts[:, j], shared)
-    del shared, total
-    cdf /= mass[:, None]
+    cdf = np.cumsum(store.counts[shared, :-1], axis=1) / mass[:, None]
     cdf *= np.asarray(filtration.gaps, dtype=np.float64)
     w1_sum = np.zeros((n, n)) if product else None
     # 1-D views: np.add.at is far faster on flat indices than on index pairs
@@ -170,70 +150,50 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
         acc = np.exp(-config.gamma * w1_sum
                      - config.beta * (diag[:, None] + diag[None, :] - 2 * acc))
     _mirror_upper(acc)
-    if first is not None:
-        dup = np.flatnonzero(first != np.arange(n))
-        acc[:, dup] = acc[:, first[dup]]
-        acc[dup] = acc[first[dup]]
+    dup = np.flatnonzero(first != np.arange(n))
+    acc[:, dup] = acc[:, first[dup]]
+    acc[dup] = acc[first[dup]]
     return acc
 
 
-def _first_equal_tables(store: FeatureCounts, diag: np.ndarray) -> np.ndarray | None:
+def _first_equal_tables(store: FeatureCounts, diag: np.ndarray) -> np.ndarray:
     """first[g]: the lowest graph id whose feature table equals graph g's.
 
-    None when every table differs. Equal tables have equal row counts and
-    equal `diag` (sum of squared masses, added in the same order), so only
-    graphs whose (rows, diag) key collides are candidates. Their (feature,
-    counts) rows, in (graph, feature) order, are hashed to uint64 with
-    wrapping array arithmetic and summed per graph; a graph joins the lowest
-    id of its (rows, diag, hash) key once each of its rows equals that
-    graph's, element by element, so a hash collision leaves it on its own.
+    Equal tables have equal row counts and equal `diag` (sum of squared
+    masses, added in the same order), so only graphs whose (rows, diag) key
+    collides are candidates; when none does, first[g] = g at once. The
+    candidates' (feature, counts) rows are taken in (length, graph, feature)
+    order, so the tables of one length are the rows of a 2-D array, each
+    viewed as one raw byte string, and `np.unique` groups those exactly: its
+    first occurrence in ascending graph id is the group's lowest id.
     """
     n = store.num_graphs
+    first = np.arange(n)
     rows = np.bincount(store.graph, minlength=n)
     order = np.lexsort((diag, rows))
     r, d = rows[order], diag[order]
     same = (r[1:] == r[:-1]) & (d[1:] == d[:-1]) & (r[1:] > 0)
     if not same.any():
-        return None
+        return first
     cand = np.zeros(n, dtype=bool)
     cand[order[1:][same]] = cand[order[:-1][same]] = True
     cands = np.flatnonzero(cand)
-    length = rows[cands]
-    start = np.cumsum(length) - length
-    # the candidates' rows by graph, then by feature (a stable sort)
+    # the candidates' rows by length, then graph, then feature (lexsort is stable)
     crow = np.flatnonzero(cand[store.graph])
-    crow = crow[np.argsort(store.graph[crow], kind="stable")]
+    owner = store.graph[crow]
+    crow = crow[np.lexsort((owner, rows[owner]))]
     table = np.column_stack((store.feature[crow], store.counts[crow]))
-
-    mult, mix = _HASH_MULTIPLIERS
-    words = table.view(np.uint64)
-    with np.errstate(over="ignore"):
-        h = words[:, 0].copy()
-        for j in range(1, words.shape[1]):
-            h *= mult
-            h += words[:, j]
-        h ^= h >> np.uint64(32)
-        h *= mix
-        h ^= h >> np.uint64(29)
-        keys = (np.add.reduceat(h, start), diag[cands], length)
-
-    # each candidate's key-mate of lowest id; lexsort is stable
-    by_key = np.lexsort(keys)
-    new = np.zeros(len(cands), dtype=bool)
-    for key in keys:
-        new[1:] |= key[by_key[1:]] != key[by_key[:-1]]
-    new[0] = True
-    rep = np.empty_like(by_key)
-    rep[by_key] = by_key[np.maximum.accumulate(np.where(new, np.arange(len(cands)), 0))]
-    # each row against the row at the same place in that graph's table
-    owner = np.repeat(np.arange(len(cands)), length)
-    other = np.arange(len(crow)) + (start[rep] - start)[owner]
-    equal = (table == table[other]).all(axis=1)
-    join = np.logical_and.reduceat(equal, start) & (rep != np.arange(len(cands)))
-    if not join.any():
-        return None
-    first = np.arange(n)
-    first[cands[join]] = cands[rep[join]]
+    lo = 0
+    # a set, not a plain `np.unique`: numpy 2.3+ answers that from a hash
+    # table whose first use raises the peak RSS by about 0.6 MB
+    for length in sorted(set(rows[cands].tolist())):
+        ids = cands[rows[cands] == length]
+        hi = lo + len(ids) * length
+        block = table[lo:hi].reshape(len(ids), -1)
+        tables = block.view(np.dtype((np.void, block.shape[1] * block.itemsize))).ravel()
+        _, index, inverse = np.unique(tables, return_index=True, return_inverse=True)
+        first[ids] = ids[index[inverse]]
+        lo = hi
     return first
 
 
