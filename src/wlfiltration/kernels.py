@@ -68,8 +68,9 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
     sums W1 in float and the mass products exactly in int64, then takes
     exp(-gamma * sum W1 - beta * (|m_i|^2 + |m_j|^2 - 2 <m_i, m_j>)).
 
-    A row whose feature no other graph holds adds to the diagonal only, so
-    only the rows of shared features get CDFs and pairs. Graph ids ascend
+    A kept row (one of the first graph of its group of equal tables, below)
+    whose feature no other graph keeps adds to the diagonal only, so only
+    the kept rows of shared features get CDFs and pairs. Graph ids ascend
     inside a feature block, so every pair term goes to the upper entry
     (g_a, g_c), g_a < g_c; the diagonal is written and the matrix mirrored
     once at the end. The pairs are visited in bounded chunks of consecutive
@@ -80,7 +81,7 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
     rows: against a third graph their terms are the same values in the same
     order, and against each other every term is m * m * exp(-gamma * 0),
     added in the diagonal's order (product: sum W1 = 0 and shared mass =
-    diagonal, so exp(0) = 1). So only the first graph of each group pairs
+    diagonal, so exp(0) = 1). So only the first graph of each group keeps
     its rows, and the others copy its column and row at the end; the bytes
     are those of pairing every row.
     """
@@ -99,18 +100,14 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
     diag = np.zeros(n, dtype=acc.dtype)
     np.add.at(diag, store.graph, (mass * mass).astype(acc.dtype, copy=False))
 
-    # the rows of features held by two or more graphs; of a group of equal
-    # tables only the first graph's rows count, so a feature keeps its
-    # holders less the dropped rows in its block
-    block_start = np.flatnonzero(np.diff(store.feature, prepend=-1))
-    size = np.diff(block_start, append=len(store.feature))
+    # the kept rows of features that two or more graphs keep
     first = _first_equal_tables(store, diag)
-    dropped = (first != np.arange(n))[store.graph]
-    block = np.searchsorted(block_start, np.flatnonzero(dropped), side="right") - 1
-    held = size - np.bincount(block, minlength=len(size))
-    shared = np.flatnonzero(np.repeat(held > 1, size) & ~dropped)
-    size = held
-    del dropped, block, held
+    kept = np.flatnonzero(first[store.graph] == store.graph)
+    block_start = np.flatnonzero(np.diff(store.feature[kept], prepend=-1))
+    size = np.diff(block_start, append=len(kept))
+    shared = kept[np.repeat(size > 1, size)]
+    size = size[size > 1]
+    del kept, block_start
     graph, mass = store.graph[shared], mass[shared]
     cdf = np.cumsum(store.counts[shared, :-1], axis=1) / mass[:, None]
     cdf *= np.asarray(filtration.gaps, dtype=np.float64)
@@ -120,7 +117,6 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
 
     # row r pairs with the later rows of its feature block
     rows = len(graph)
-    size = size[size > 1]
     block_end = np.cumsum(size)
     partners = np.repeat(block_end, size) - np.arange(rows) - 1
     through = np.cumsum(partners)

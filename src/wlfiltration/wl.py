@@ -40,10 +40,11 @@ class FeatureCounts:
 class LabelInterner:
     """Deprecated placeholder: `extract_all` numbers the labels itself.
 
-    It holds nothing, and `extract_all` ignores it. It stays only because
-    the benchmark's `direct_layers` (`perfbench/worker.py`) passes one, with
-    `threads=2`, to time its `wl.extract_t2_s` metric, which
-    `tests/test_perfbench_smoke.py` requires.
+    It holds nothing. `extract_all` still accepts one as `interner`, and a
+    `threads` count, and ignores both: the result never depended on them.
+    They stay only because the benchmark's `direct_layers`
+    (`perfbench/worker.py`) passes both, `threads=2`, to time its
+    `wl.extract_t2_s` metric, which `tests/test_perfbench_smoke.py` requires.
     """
 
 
@@ -70,12 +71,15 @@ def extract_all(
     some edge of the graph first appears are refined; the counts of the
     others are copied from the last refined level below them. A repeated
     level has the keys of the level below it, so skipping it changes no id.
-    The refined copies of all graphs are refined together as one disjoint
-    union with array passes (see `_refine`), so no Python work is done per
-    label. `graphs` is a dataset or a sequence of graphs. `interner` and
-    `threads` are ignored, and the result never depended on them; they stay
-    only because the benchmark's `direct_layers` (`perfbench/worker.py`)
-    passes both to time `wl.extract_t2_s` (see `LabelInterner`).
+    The refined copies of all graphs form one disjoint union, laid out here
+    and nowhere else: copy c is level cell[c] % k of graph cell[c] // k, in
+    that (graph, level) order, and holds its graph's vertices and the edges
+    of its level. `_classes` runs the WL rounds on the union's arcs as on one
+    graph, numbering each round's classes densely in key order, so no Python
+    work is done per label; round r's ids then follow the initial alphabet
+    and the classes of rounds 1 .. r - 1. `graphs` is a dataset or a
+    sequence of graphs; `interner` and `threads` are ignored (see
+    `LabelInterner`).
     """
     if not isinstance(h, numbers.Integral) or h < 0:
         raise ValueError(f"h must be >= 0 and an integer, got {h!r}")
@@ -93,15 +97,46 @@ def extract_all(
     refined[:, 0] = True
     refined[edge_graph, first[live]] = True
 
-    labels, depth, copy = _refine(n, labels0, ends, first, refined, edge_graph, live, h,
-                                  len(alphabet))
-    # A vertex of copy (g, i) labelled f falls in cell (f * graphs + g) * k + i.
+    # copy c (level cell[c] % k of graph cell[c] // k) holds the union's
+    # vertices copy_start[c] .. copy_start[c] + size[c] - 1
+    cell = np.flatnonzero(refined)
+    copy_graph = cell // k
+    size = n[copy_graph]
+    copy_start = np.cumsum(size) - size
+    total = int(size.sum())
+    labels = np.empty((h + 1, total), dtype=np.int64)
+    labels[0] = labels0[np.repeat((np.cumsum(n) - n)[copy_graph] - copy_start, size)
+                        + np.arange(total)]
+    del labels0
+    num_classes = [0] * h
+    if h and total:
+        # an edge is in the copy of its first level (refined by definition)
+        # and in every later copy of its graph
+        copy_id = np.cumsum(refined.ravel()).reshape(refined.shape) - 1
+        start_copy = copy_id[edge_graph, first[live]]
+        present = copy_id[edge_graph, -1] - start_copy + 1
+        edge = np.repeat(np.flatnonzero(live), present)
+        # copies start_copy, start_copy + 1, ... of each edge
+        copy = np.repeat(start_copy - np.cumsum(present) + present, present) + np.arange(len(edge))
+        del copy_id, start_copy, present
+        offset = copy_start[copy]
+        u = offset + ends[edge, 0]
+        v = offset + ends[edge, 1]
+        del edge, copy, offset
+        arc = np.concatenate((u * total + v, v * total + u))
+        del u, v
+        num_classes = _classes(arc, labels)
+        del arc
+    labels[1:] += np.cumsum([len(alphabet), *num_classes[:-1]])[:, None]
+    depth = np.repeat(np.arange(h + 1), [len(alphabet), *num_classes])
+    del first, live, edge_graph
+    # A vertex of copy c labelled f falls in (f * graphs) * k + cell[c].
     # Round by round, so that one round's sort is alive at a time; every id
     # of round r is above every id of round r - 1, so the rounds' sorted
     # cells, concatenated, ascend.
+    place = np.repeat(cell, size)
+    del cell, copy_graph, size, copy_start
     num_graphs = max(len(n), 1)
-    place = np.flatnonzero(refined)[copy]
-    del first, live, edge_graph, copy
     cells, tallies = [], []
     for round_labels in labels:
         cell, tally = np.unique(round_labels * (num_graphs * k) + place, return_counts=True)
@@ -123,65 +158,6 @@ def extract_all(
     for i in range(1, k):
         np.copyto(counts[:, i], counts[:, i - 1], where=repeated[:, i])
     return FeatureCounts(graph, key // num_graphs, counts, depth, num_graphs=len(n))
-
-
-def _refine(
-    n: np.ndarray,
-    labels0: np.ndarray,
-    ends: np.ndarray,
-    first: np.ndarray,
-    refined: np.ndarray,
-    edge_graph: np.ndarray,
-    live: np.ndarray,
-    h: int,
-    alphabet: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """WL labels of the refined level copies of all graphs; (labels, depth, copy).
-
-    `n` holds the graphs' vertex counts, `labels0` their initial ids (below
-    `alphabet`), `ends` their edges (graph-local endpoints) and `first` each
-    edge's first level (k: on no level). `refined` is a (graphs, k) mask of
-    the level copies to refine, level 0 of every graph among them. `live`
-    marks the edges on some level and `edge_graph` gives their graphs. The
-    copies are numbered in (graph, level) order and form one disjoint union;
-    each holds its graph's vertices and the edges of its level. This is the
-    only place that lays the union out: `labels[r]` holds the round-r id of
-    every vertex of the union, `depth[f]` the round of id f and `copy[x]` the
-    copy of vertex x.
-
-    `_classes` runs the rounds on the union's arcs and numbers each round's
-    classes densely in key order; round r's ids follow the initial alphabet
-    and the classes of rounds 1 .. r - 1.
-    """
-    copy_graph = np.nonzero(refined)[0]
-    size = n[copy_graph]
-    copy_start = np.cumsum(size) - size
-    total = int(size.sum())
-    copy_of = np.repeat(np.arange(len(size)), size)
-    local = np.arange(total) - copy_start[copy_of]
-    labels = np.empty((h + 1, total), dtype=np.int64)
-    labels[0] = labels0[(np.cumsum(n) - n)[copy_graph[copy_of]] + local]
-    if not h or not total:
-        return labels, np.zeros(alphabet, dtype=np.int64), copy_of
-    # an edge is in the copy of its first level (refined by definition)
-    # and in every later copy of its graph
-    copy_id = np.cumsum(refined.ravel()).reshape(refined.shape) - 1
-    start_copy = copy_id[edge_graph, first[live]]
-    present = copy_id[edge_graph, -1] - start_copy + 1
-    edge = np.repeat(np.flatnonzero(live), present)
-    # copies start_copy, start_copy + 1, ... of each edge
-    copy = np.repeat(start_copy - np.cumsum(present) + present, present) + np.arange(len(edge))
-    del copy_id, start_copy, present
-    offset = copy_start[copy]
-    u = offset + ends[edge, 0]
-    v = offset + ends[edge, 1]
-    del edge, copy, offset
-    arc = np.concatenate((u * total + v, v * total + u))
-    del u, v
-    num_classes = _classes(arc, labels)
-    del arc
-    labels[1:] += np.cumsum([alphabet, *num_classes[:-1]])[:, None]
-    return labels, np.repeat(np.arange(h + 1), [alphabet, *num_classes]), copy_of
 
 
 def _classes(arc: np.ndarray, labels: np.ndarray) -> list[int]:

@@ -287,16 +287,17 @@ def test_extract_all_refines_only_levels_that_add_an_edge(monkeypatch):
     ascending = filt.thresholds[::-1]
     want = sum(len(({0} | {k - bisect.bisect_right(ascending, w) for w in g.weights}) - {k})
                for g in dataset.graphs)
-    refined = []
-    refine = wl._refine
+    vertices = []
+    classes = wl._classes
 
-    def counting(n, labels0, ends, first, mask, *rest):
-        refined.append(int(mask.sum()))
-        return refine(n, labels0, ends, first, mask, *rest)
+    def counting(arc, labels):
+        vertices.append(labels.shape[1])
+        return classes(arc, labels)
 
-    monkeypatch.setattr(wl, "_refine", counting)
+    monkeypatch.setattr(wl, "_classes", counting)
     store = extract_all(dataset.graphs, filt, 2)
-    assert sum(refined) == want < len(dataset) * k
+    # one union of the 41 vertices of each refined copy
+    assert vertices == [41 * want] and want < len(dataset) * k
     assert tables_from(store) == extract_all_reference(dataset.graphs, filt, 2)[0]
 
 
