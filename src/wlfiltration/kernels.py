@@ -72,10 +72,11 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
     whose feature no other graph keeps adds to the diagonal only, so only
     the kept rows of shared features get CDFs and pairs. Graph ids ascend
     inside a feature block, so every pair term goes to the upper entry
-    (g_a, g_c), g_a < g_c; the diagonal is written and the matrix mirrored
-    once at the end. The pairs are visited in bounded chunks of consecutive
-    rows, and `np.add.at` adds in index order, so every entry sums its terms
-    in ascending feature id, however the rows are chunked.
+    (g_a, g_c), g_a < g_c; at the end the diagonal is written and each row i
+    copies column i above the diagonal (`acc[i, :i] = acc[:i, i]`). The
+    pairs are visited in bounded chunks of consecutive rows, and
+    `np.add.at` adds in index order, so every entry sums its terms in
+    ascending feature id, however the rows are chunked.
 
     Graphs with equal feature tables (`_first_equal_tables`) have equal
     rows: against a third graph their terms are the same values in the same
@@ -145,7 +146,8 @@ def assemble_gram(store: FeatureCounts, filtration: Filtration, config: KernelCo
         # overwrites the entries computed from them
         acc = np.exp(-config.gamma * w1_sum
                      - config.beta * (diag[:, None] + diag[None, :] - 2 * acc))
-    _mirror_upper(acc)
+    for i in range(1, n):
+        acc[i, :i] = acc[:i, i]
     dup = np.flatnonzero(first != np.arange(n))
     acc[:, dup] = acc[:, first[dup]]
     acc[dup] = acc[first[dup]]
@@ -157,11 +159,11 @@ def _first_equal_tables(store: FeatureCounts, diag: np.ndarray) -> np.ndarray:
 
     Equal tables have equal row counts and equal `diag` (sum of squared
     masses, added in the same order), so only graphs whose (rows, diag) key
-    collides are candidates; when none does, first[g] = g at once. The
-    candidates' (feature, counts) rows are taken in (length, graph, feature)
-    order, so the tables of one length are the rows of a 2-D array, each
-    viewed as one raw byte string, and `np.unique` groups those exactly: its
-    first occurrence in ascending graph id is the group's lowest id.
+    collides are candidates. Their (feature, counts) rows are taken in
+    (graph, feature) order, and each candidate's table, as raw bytes, keys a
+    dict walked in ascending graph id: the first graph to set a key is the
+    lowest id of its group. A dict compares its keys' bytes in full, so no
+    two different tables can share a group.
     """
     n = store.num_graphs
     first = np.arange(n)
@@ -169,42 +171,18 @@ def _first_equal_tables(store: FeatureCounts, diag: np.ndarray) -> np.ndarray:
     order = np.lexsort((diag, rows))
     r, d = rows[order], diag[order]
     same = (r[1:] == r[:-1]) & (d[1:] == d[:-1]) & (r[1:] > 0)
-    if not same.any():
-        return first
     cand = np.zeros(n, dtype=bool)
     cand[order[1:][same]] = cand[order[:-1][same]] = True
-    cands = np.flatnonzero(cand)
-    # the candidates' rows by length, then graph, then feature (lexsort is stable)
+    # the candidates' rows by graph, then feature (the sort is stable)
     crow = np.flatnonzero(cand[store.graph])
-    owner = store.graph[crow]
-    crow = crow[np.lexsort((owner, rows[owner]))]
+    crow = crow[np.argsort(store.graph[crow], kind="stable")]
     table = np.column_stack((store.feature[crow], store.counts[crow]))
-    lo = 0
-    # a set, not a plain `np.unique`: numpy 2.3+ answers that from a hash
-    # table whose first use raises the peak RSS by about 0.6 MB
-    for length in sorted(set(rows[cands].tolist())):
-        ids = cands[rows[cands] == length]
-        hi = lo + len(ids) * length
-        block = table[lo:hi].reshape(len(ids), -1)
-        tables = block.view(np.dtype((np.void, block.shape[1] * block.itemsize))).ravel()
-        _, index, inverse = np.unique(tables, return_index=True, return_inverse=True)
-        first[ids] = ids[index[inverse]]
-        lo = hi
+    ids = np.flatnonzero(cand)
+    ends = np.cumsum(rows[ids]).tolist()
+    seen = {}
+    for g, lo, hi in zip(ids.tolist(), [0, *ends], ends):
+        first[g] = seen.setdefault(table[lo:hi].tobytes(), g)
     return first
-
-
-def _mirror_upper(a: np.ndarray) -> None:
-    """Copy the strict upper triangle of square `a` onto its lower one, in place.
-
-    Row blocks bound the temporaries near `_CHUNK_ENTRIES` entries, where
-    `a += a.T` would copy all of `a`.
-    """
-    n = len(a)
-    step = max(1, _CHUNK_ENTRIES // max(1, n))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        below = np.arange(hi) < np.arange(lo, hi)[:, None]
-        np.copyto(a[lo:hi, :hi], a[:hi, lo:hi].T, where=below)
 
 
 def gram_matrix(

@@ -118,7 +118,8 @@ def extract_all(
         edge = np.repeat(np.flatnonzero(live), present)
         # copies start_copy, start_copy + 1, ... of each edge
         copy = np.repeat(start_copy - np.cumsum(present) + present, present) + np.arange(len(edge))
-        del copy_id, start_copy, present
+        # nothing below reads the per-edge level data
+        del copy_id, start_copy, present, first, live, edge_graph
         offset = copy_start[copy]
         u = offset + ends[edge, 0]
         v = offset + ends[edge, 1]
@@ -127,9 +128,10 @@ def extract_all(
         del u, v
         num_classes = _classes(arc, labels)
         del arc
+    else:
+        del first, live, edge_graph
     labels[1:] += np.cumsum([len(alphabet), *num_classes[:-1]])[:, None]
     depth = np.repeat(np.arange(h + 1), [len(alphabet), *num_classes])
-    del first, live, edge_graph
     # A vertex of copy c labelled f falls in (f * graphs) * k + cell[c].
     # Round by round, so that one round's sort is alive at a time; every id
     # of round r is above every id of round r - 1, so the rounds' sorted

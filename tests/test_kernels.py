@@ -387,8 +387,7 @@ def test_assemble_row_chunks_do_not_change_values(monkeypatch, variant):
     cfg = KernelConfig(h=1, beta=0.05, variant=variant)
     expected = assemble_gram_reference(store, filt, cfg).tobytes()
     assert kernels.assemble_gram(store, filt, cfg).tobytes() == expected
-    # a chunk of e entries holds e // (k - 1) pairs, at least one; the
-    # mirror then copies one row at a time (21 // 35 rows: at least one)
+    # a chunk of e entries holds e // (k - 1) pairs, at least one
     assert len(filt) == 6
     for entries in (1, 35):
         monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", entries)
@@ -473,8 +472,11 @@ def test_planted_copies_assemble_byte_for_byte(variant, k, h, seed, copies):
     filt = build_filtration(ds, spec, k)
     store = extract_all(ds, filt, h)
     first = kernels._first_equal_tables(store, squared_mass_diagonal(store))
-    # each graph maps to the lowest id of its group, which maps to itself
-    assert np.all(first <= np.arange(len(ds))) and np.array_equal(first[first], first)
+    # brute force: first[g] is the lowest id whose (feature, counts) rows equal g's
+    tables = [tuple((f, *c) for f, c in zip(store.feature[store.graph == g].tolist(),
+                                            store.counts[store.graph == g].tolist()))
+              for g in range(len(ds))]
+    assert first.tolist() == [tables.index(t) for t in tables]
     # every copy sits in the group of its original; WL may add other graphs
     for tag in set(origin):
         at = [p for p, t in enumerate(origin) if t == tag]
