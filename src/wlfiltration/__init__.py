@@ -28,7 +28,7 @@ from .kernels import GramMatrix, KernelConfig, gram_matrix
 from .transport import wasserstein_cdf_points
 from .wl import FeatureCounts, extract_all
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 __all__ = [
     "DatasetFormatError",

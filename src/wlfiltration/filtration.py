@@ -168,19 +168,19 @@ def dataset_weights(dataset: GraphDataset, spec: WeightFunctionSpec) -> np.ndarr
     return _batched_walk_totals(ends, m, n, deg, spec.walk_length)
 
 
-# Padded (graphs, N, N) blocks of the batched walk pass hold at most this
-# many entries; a graph with n * n above it is counted by `_walk_totals`.
+# A (graphs, n, n) stack of the batched walk pass holds at most this many
+# entries; a graph with n * n above it is counted by `_walk_totals`.
 _WALK_BLOCK_ENTRIES = 1 << 15
 
 
 def _batched_walk_totals(ends, m, n, deg, walk_length: int) -> np.ndarray:
     """`_walk_totals` of every graph, flat in edge order.
 
-    Graphs are sorted by n and padded into (graphs, N, N) adjacency blocks
-    of at most _WALK_BLOCK_ENTRIES entries; sum_l A^l is formed by float64
-    matmul. When walk_length * maxdeg**walk_length < 2**53 every entry and
-    partial sum of it is an integer below 2**53 (the bound of
-    `_count_dtype`), so float64 holds each exactly. Graphs above either
+    Graphs of each vertex count n go through in unpadded (graphs, n, n)
+    stacks of at most _WALK_BLOCK_ENTRIES // n**2 graphs; sum_l A^l is
+    formed by float64 matmul. When walk_length * maxdeg**walk_length < 2**53
+    every entry and partial sum of it is an integer below 2**53 (the bound
+    of `_count_dtype`), so float64 holds each exactly. Graphs above either
     bound go to `_walk_totals`, which raises on counts above 2**64 - 1.
     """
     maxdeg = np.zeros(len(n), dtype=np.intp)
@@ -190,27 +190,21 @@ def _batched_walk_totals(ends, m, n, deg, walk_length: int) -> np.ndarray:
 
     first = np.cumsum(m) - m
     totals = np.zeros(len(ends), dtype=np.int64)
-    members = np.flatnonzero(batched)
-    members = members[np.argsort(n[members], kind="stable")]
-    lo = 0
-    while lo < len(members):
-        # n grows along members, so the block's last graph sets its size
-        hi = lo + 1
-        while hi < len(members) and (hi + 1 - lo) * n[members[hi]] ** 2 <= _WALK_BLOCK_ENTRIES:
-            hi += 1
-        block = members[lo:hi]
-        size, counts = int(n[block[-1]]), m[block]
-        slot = np.repeat(np.arange(len(block)), counts)
-        edge = np.repeat(first[block] - (np.cumsum(counts) - counts), counts) + np.arange(len(slot))
-        u, v = ends[edge, 0], ends[edge, 1]
-        adj = np.zeros((len(block), size, size))
-        adj[slot, u, v] = adj[slot, v, u] = 1.0
-        power, acc = adj, adj.copy()
-        for _ in range(walk_length - 1):
-            power = power @ adj
-            acc += power
-        totals[edge] = acc[slot, u, v]
-        lo = hi
+    for size in sorted(set(n[batched].tolist())):
+        members = np.flatnonzero(batched & (n == size))
+        step = _WALK_BLOCK_ENTRIES // size**2
+        for block in np.split(members, range(step, len(members), step)):
+            counts = m[block]
+            slot = np.repeat(np.arange(len(block)), counts)
+            edge = np.repeat(first[block] - (np.cumsum(counts) - counts), counts) + np.arange(len(slot))
+            u, v = ends[edge, 0], ends[edge, 1]
+            adj = np.zeros((len(block), size, size))
+            adj[slot, u, v] = adj[slot, v, u] = 1.0
+            power, acc = adj, adj.copy()
+            for _ in range(walk_length - 1):
+                power = power @ adj
+                acc += power
+            totals[edge] = acc[slot, u, v]
 
     for gid in np.flatnonzero(~batched & (m > 0)).tolist():
         alone = _walk_totals(int(n[gid]), ends[first[gid]:first[gid] + m[gid]], walk_length)

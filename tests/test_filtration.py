@@ -235,10 +235,13 @@ def test_dataset_weights_match_per_graph_oracles(graphs, walk_length):
     _assert_batched_weights_match(graphs, walk_length)
 
 
-@pytest.mark.parametrize("entries", [1, 30, 1 << 15])
+@pytest.mark.parametrize("entries", [1, 30, 200, 1 << 15])
 def test_dataset_weights_do_not_depend_on_block_bound(monkeypatch, entries):
-    # a 200-cycle (n * n = 40,000) is above the default bound; at 30
-    # entries only graphs on at most 5 vertices are batched, one at a time
+    # a 200-cycle (n * n = 40,000) is above the default bound. At 1 entry
+    # no graph is batched; at 30 only the two 3-vertex graphs are, in one
+    # stack. At 200 the seven 9-vertex graphs fill 4 stacks, the four
+    # 12-vertex graphs 4, and the 11- and 14-vertex pairs 2 each; at 2**15
+    # every size fits in one stack.
     rng = random.Random(23)
     graphs = [random_graph(rng, max_n=16, p=0.3, min_n=0) for _ in range(30)]
     graphs.insert(7, LabeledGraph.build(200, [(i, (i + 1) % 200) for i in range(200)]))
