@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -32,8 +33,10 @@ def _parse_k(text: str) -> int | str:
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", required=True, help="directory holding the TUDataset text files")
-    p.add_argument("--name", required=True, help="dataset name prefix of the files")
+    p.add_argument("--dataset", dest="dataset_path", metavar="DATASET", required=True,
+                   help="directory holding the TUDataset text files")
+    p.add_argument("--name", dest="dataset_name", metavar="NAME", required=True,
+                   help="dataset name prefix of the files")
 
 
 def _add_weight_args(p: argparse.ArgumentParser) -> None:
@@ -69,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--beta", type=float, default=1.0, help="mass RBF decay (product variant)")
     p_compute.add_argument("--variant", choices=tuple(_VARIANT_FLAG), default="linear")
     p_compute.add_argument("--normalize", action="store_true", help="cosine-normalize the matrix")
-    p_compute.add_argument("--format", choices=FORMATS, default="csv")
-    p_compute.add_argument("--out", required=True, help="output file for the Gram matrix")
+    p_compute.add_argument("--format", dest="output_format", choices=FORMATS, default="csv")
+    p_compute.add_argument("--out", dest="output_path", metavar="OUT", required=True,
+                           help="output file for the Gram matrix")
     p_compute.add_argument("--threads", type=int, default=1,
                            help="accepted and ignored; the output never depends on it")
 
@@ -89,24 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each manifest field -> (the `compute` argument it records, how `replay`
-# reads the argument back, if not as recorded). `k` is recorded as text and
-# the variant in the library's spelling; a reader raises KeyError, TypeError
-# or ArgumentTypeError on a value that `compute` does not accept.
-_MANIFEST_FIELDS = {
-    "dataset_path": ("dataset", None),
-    "dataset_name": ("name", None),
-    "weights": ("weights", dict(zip(WEIGHT_KINDS, WEIGHT_KINDS)).__getitem__),
-    "walk_length": ("walk_length", None),
-    "k": ("k", _parse_k),
-    "h": ("h", None),
-    "gamma": ("gamma", None),
-    "beta": ("beta", None),
-    "variant": ("variant", {lib: flag for flag, lib in _VARIANT_FLAG.items()}.__getitem__),
-    "normalize": ("normalize", None),
-    "output_format": ("format", dict(zip(FORMATS, FORMATS)).__getitem__),
-    "output_path": ("out", None),
-    "threads": ("threads", None),
+# `compute` stores each option under the name of the manifest field that
+# records it. `replay` reads these four fields back through a reader: `k` is
+# recorded as text and the variant in the library's spelling, and `weights`
+# and `output_format` must be among the choices `compute` offers. A reader
+# raises KeyError, TypeError or ArgumentTypeError on a value that `compute`
+# does not accept.
+_READ_BACK = {
+    "weights": dict(zip(WEIGHT_KINDS, WEIGHT_KINDS)).__getitem__,
+    "k": _parse_k,
+    "variant": {lib: flag for flag, lib in _VARIANT_FLAG.items()}.__getitem__,
+    "output_format": dict(zip(FORMATS, FORMATS)).__getitem__,
 }
 
 
@@ -115,7 +112,7 @@ def run_compute(args: argparse.Namespace, thresholds: tuple | None = None) -> Ru
     `thresholds` are given and the fitted thresholds differ from them, raise
     ValueError first, writing nothing."""
     started = time.perf_counter()
-    dataset = load_tud_dataset(args.dataset, args.name)
+    dataset = load_tud_dataset(args.dataset_path, args.dataset_name)
     spec = WeightFunctionSpec(kind=args.weights, walk_length=args.walk_length)
     config = KernelConfig(
         h=args.h,
@@ -129,21 +126,19 @@ def run_compute(args: argparse.Namespace, thresholds: tuple | None = None) -> Ru
     if thresholds is not None and filtration.thresholds != thresholds:
         raise ValueError(f"manifest field 'thresholds' records {list(thresholds)}, "
                          f"but the run fits {list(filtration.thresholds)}")
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    write_gram(matrix, args.format, args.out)
+    os.makedirs(os.path.dirname(os.path.abspath(args.output_path)), exist_ok=True)
+    write_gram(matrix, args.output_format, args.output_path)
     elapsed = time.perf_counter() - started
 
-    recorded = {field: getattr(args, arg) for field, (arg, _) in _MANIFEST_FIELDS.items()}
-    manifest = RunManifest(
-        **(recorded | {"k": str(args.k), "variant": config.variant}),
-        thresholds=filtration.thresholds,
-        wall_time_seconds=elapsed,
-    )
-    manifest.save(manifest_path_for(args.out))
+    computed = {"thresholds": filtration.thresholds, "wall_time_seconds": elapsed}
+    recorded = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunManifest)
+                if f.name not in computed}
+    manifest = RunManifest(**recorded | {"k": str(args.k), "variant": config.variant} | computed)
+    manifest.save(manifest_path_for(args.output_path))
     print(f"graphs: {len(dataset)}")
     print(f"thresholds (k={len(filtration)}): " + " ".join(str(t) for t in filtration.thresholds))
     print(f"wall time: {elapsed:.3f} s")
-    print(f"wrote {args.out} and {manifest_path_for(args.out)}")
+    print(f"wrote {args.output_path} and {manifest_path_for(args.output_path)}")
     return manifest
 
 
@@ -155,11 +150,11 @@ def replay(manifest_file: str) -> RunManifest:
     thresholds than the recorded ones.
     """
     m = load_manifest(manifest_file)
-    args = argparse.Namespace()
-    for field, (arg, read) in _MANIFEST_FIELDS.items():
+    args = argparse.Namespace(**dataclasses.asdict(m))
+    for field, read in _READ_BACK.items():
         value = getattr(m, field)
         try:
-            setattr(args, arg, value if read is None else read(value))
+            setattr(args, field, read(value))
         except (KeyError, TypeError, argparse.ArgumentTypeError):
             raise ValueError(f"manifest field {field!r} has invalid value {value!r}") from None
     return run_compute(args, m.thresholds)
@@ -177,7 +172,7 @@ def run_csl(args: argparse.Namespace) -> None:
 
 
 def run_inspect(args: argparse.Namespace) -> None:
-    dataset = load_tud_dataset(args.dataset, args.name)
+    dataset = load_tud_dataset(args.dataset_path, args.dataset_name)
     spec = WeightFunctionSpec(kind=args.weights, walk_length=args.walk_length)
     weighted = reweight(dataset, spec)
     filtration = build_filtration(weighted, WeightFunctionSpec(), args.k)

@@ -17,6 +17,7 @@ from wlfiltration import (
     GraphDataset,
     KernelConfig,
     LabeledGraph,
+    RunManifest,
     WeightFunctionSpec,
     build_filtration,
     gram_matrix,
@@ -25,7 +26,7 @@ from wlfiltration import (
     write_tud_dataset,
 )
 from wlfiltration import gram_io
-from wlfiltration.cli import main, replay
+from wlfiltration.cli import build_parser, main, replay
 from wlfiltration.gram_io import FORMATS, manifest_path_for
 
 from conftest import random_dataset, read_gram_csv
@@ -395,6 +396,39 @@ def test_manifest_replay_reproduces_gram_bytes(tmp_path, mini_tud_dir, capsys):
         assert dataclasses.replace(replayed, wall_time_seconds=0.0) == dataclasses.replace(
             recorded, wall_time_seconds=0.0)
         assert load_manifest(manifest_path_for(str(out))) == replayed
+
+
+def test_every_compute_option_is_a_manifest_field():
+    args = vars(build_parser().parse_args(["compute", "--dataset", "d", "--name", "n",
+                                           "--out", "o"]))
+    del args["command"]
+    computed = {"thresholds", "wall_time_seconds"}
+    assert args.keys() == {f.name for f in dataclasses.fields(RunManifest)} - computed
+
+
+# A manifest as version 0.24.0 wrote it for `compute --dataset <mini> --name
+# MINI20 --weights degree --k 3 --format libsvm --out <gram>`, without its two
+# paths. Its field names and spellings must keep replaying.
+_MANIFEST_0_24_0 = {
+    "dataset_name": "MINI20", "weights": "degree", "walk_length": 1, "k": "3", "h": 2,
+    "gamma": 1.0, "beta": 1.0, "variant": "linear_combination", "normalize": False,
+    "output_format": "libsvm", "threads": 1, "thresholds": [6, 4, 2],
+    "wall_time_seconds": 0.0057072669951594435,
+}
+
+
+def test_a_0_24_0_manifest_replays(tmp_path, mini_tud_dir):
+    fresh = tmp_path / "fresh.libsvm"
+    assert _run_cli("compute", "--dataset", mini_tud_dir, "--name", "MINI20", "--weights",
+                    "degree", "--k", "3", "--format", "libsvm", "--out", str(fresh)) == 0
+    out = tmp_path / "old.libsvm"
+    manifest = tmp_path / "old.libsvm.manifest.json"
+    manifest.write_text(json.dumps(
+        _MANIFEST_0_24_0 | {"dataset_path": mini_tud_dir, "output_path": str(out)}),
+        encoding="utf-8")
+    replayed = replay(str(manifest))
+    assert out.read_bytes() == fresh.read_bytes()
+    assert replayed.thresholds == (6, 4, 2)
 
 
 @pytest.mark.parametrize("field, value", [
